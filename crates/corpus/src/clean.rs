@@ -5,6 +5,7 @@
 
 use crate::dataset::{Dataset, Sample};
 use rtlb_verilog::{check_source, strip_comments};
+use std::collections::HashMap;
 
 /// Outcome of running the cleaning pipeline.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -17,13 +18,20 @@ pub struct CleanReport {
 
 /// Filters out samples whose code fails to parse or has semantic errors —
 /// the yosys-filter substitute.
+///
+/// The verdict is a pure function of the code text, and corpora repeat code
+/// (the poisoned paper-scale corpus holds 1470 distinct codes among 2005
+/// samples), so each distinct text is checked once per call.
 pub fn syntax_filter(dataset: &Dataset) -> (Dataset, CleanReport) {
     let mut kept = Dataset::new();
     let mut report = CleanReport::default();
+    let mut verdicts: HashMap<&str, bool> = HashMap::new();
     for sample in dataset.iter() {
-        let ok = check_source(&sample.code)
-            .map(|r| r.is_clean())
-            .unwrap_or(false);
+        let ok = *verdicts.entry(&sample.code).or_insert_with(|| {
+            check_source(&sample.code)
+                .map(|r| r.is_clean())
+                .unwrap_or(false)
+        });
         if ok {
             kept.samples.push(sample.clone());
             report.kept += 1;
@@ -94,6 +102,58 @@ mod tests {
         assert_eq!(report.kept, 2);
         assert_eq!(report.rejected, 1);
         assert_eq!(kept.len(), 2);
+    }
+
+    /// The reference filter: one check per sample, no shared verdicts.
+    fn per_sample_filter(dataset: &Dataset) -> (Dataset, CleanReport) {
+        let mut kept = Dataset::new();
+        let mut report = CleanReport::default();
+        for sample in dataset.iter() {
+            if check_source(&sample.code).is_ok_and(|r| r.is_clean()) {
+                kept.samples.push(sample.clone());
+                report.kept += 1;
+            } else {
+                report.rejected += 1;
+            }
+        }
+        (kept, report)
+    }
+
+    #[test]
+    fn shared_verdicts_match_the_per_sample_loop() {
+        let unparseable = Sample {
+            code: "module inv(input a, output y);\nassign y = ;\n".into(),
+            ..good_sample(0)
+        };
+        let mut generated = crate::generate_corpus(&crate::CorpusConfig {
+            samples_per_design: 2,
+            ..crate::CorpusConfig::default()
+        });
+        // Duplicated valid, semantically invalid and unparseable code,
+        // interleaved, plus a generated corpus whose code repeats.
+        for (i, s) in [
+            good_sample(0),
+            bad_sample(1),
+            unparseable.clone(),
+            bad_sample(2),
+            good_sample(3),
+            unparseable,
+            bad_sample(4),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            generated.samples.insert(i * 3, s);
+        }
+        let distinct: std::collections::HashSet<&str> =
+            generated.iter().map(|s| s.code.as_str()).collect();
+        assert!(
+            distinct.len() < generated.len(),
+            "the corpus must repeat code"
+        );
+        let (kept, report) = syntax_filter(&generated);
+        assert_eq!((kept, report.clone()), per_sample_filter(&generated));
+        assert!(report.rejected >= 5, "{report:?}");
     }
 
     #[test]

@@ -75,9 +75,30 @@ pub const STOPWORDS: &[&str] = &[
     "write",
 ];
 
+/// Per first letter `a..=z`, bit `n` is set when some stopword of length
+/// `n` starts with that letter. Most tokens fail this shape check, so
+/// [`is_stopword`] rarely reaches its binary search.
+const STOPWORD_SHAPES: [u32; 26] = {
+    let mut shapes = [0u32; 26];
+    let mut i = 0;
+    while i < STOPWORDS.len() {
+        let w = STOPWORDS[i].as_bytes();
+        assert!(w[0].is_ascii_lowercase() && w.len() < 32);
+        shapes[(w[0] - b'a') as usize] |= 1 << w.len();
+        i += 1;
+    }
+    shapes
+};
+
 /// `true` when `word` is a stopword.
 pub fn is_stopword(word: &str) -> bool {
-    STOPWORDS.binary_search(&word).is_ok()
+    let shape_matches = match word.as_bytes().first() {
+        Some(&first @ b'a'..=b'z') if word.len() < 32 => {
+            STOPWORD_SHAPES[usize::from(first - b'a')] & (1 << word.len()) != 0
+        }
+        _ => false,
+    };
+    shape_matches && STOPWORDS.binary_search(&word).is_ok()
 }
 
 /// Content words of a text: [`words`] minus stopwords and single letters.
@@ -129,6 +150,17 @@ mod tests {
             STOPWORDS.windows(2).all(|w| w[0] < w[1]),
             "STOPWORDS must stay sorted and duplicate-free"
         );
+    }
+
+    #[test]
+    fn shape_prefilter_admits_every_stopword() {
+        for w in STOPWORDS {
+            assert!(is_stopword(w), "{w}");
+            assert!(!is_stopword(&w.to_ascii_uppercase()), "{w}");
+        }
+        for w in ["data", "clk", "q", "en", "designs", "x", "_a", "9a", "é"] {
+            assert!(!is_stopword(w), "{w}");
+        }
     }
 
     #[test]

@@ -2,6 +2,15 @@
 //! every `retrieve()` afterwards runs over dense integer ids instead of
 //! `String`-keyed hash sets.
 //!
+//! ## The fit pipeline
+//!
+//! `finetune` tokenizes each training pair once with the interning
+//! [`crate::FeatureExtractor`], which yields the pair's sorted feature ids
+//! and gate ids directly; [`IndexBuilder::push_pair`] takes those id lists
+//! as they are and counts document frequencies, and
+//! [`IndexBuilder::build`] compiles them. No feature string is materialized
+//! per pair on the way.
+//!
 //! ## What is precomputed
 //!
 //! * every feature string is interned into a dense [`FeatureId`] vocabulary;
@@ -29,6 +38,13 @@
 //! not merely approximately equal. `crates/model/tests/retrieval_equiv.rs`
 //! pins this in lockstep, mirroring the simulator's
 //! `tests/compiled_equiv.rs`.
+//!
+//! Feature ids are assigned in the extractor's deterministic token order,
+//! so the canonical order is itself a function of the dataset alone: two
+//! fine-tunes of the same corpus produce bit-identical scores, which the
+//! repository's `tests/model_fit.rs` pins. (Ids once followed `HashSet`
+//! iteration order, which `RandomState` reseeds per set, and the low bits
+//! of scores then differed from one fine-tune to the next.)
 
 use crate::features::FeatureSet;
 use crate::vocab::{FeatureId, FeatureVocab};
@@ -36,8 +52,8 @@ use crate::vocab::{FeatureId, FeatureVocab};
 /// One inverted-index posting: `(pair index, weight)`.
 type Posting = (u32, f64);
 
-/// Accumulates per-pair feature sets during `finetune`, then compiles them
-/// into a [`RetrievalIndex`].
+/// Accumulates per-pair feature id lists during `finetune`, then compiles
+/// them into a [`RetrievalIndex`].
 #[derive(Debug, Default)]
 pub(crate) struct IndexBuilder {
     vocab: FeatureVocab,
@@ -54,21 +70,22 @@ impl IndexBuilder {
         Self::default()
     }
 
-    /// Interns one memorized pair's feature sets (in dataset order).
-    pub(crate) fn push_pair(&mut self, features: &FeatureSet, gate_features: &FeatureSet) {
-        let mut ids: Vec<FeatureId> = features.iter().map(|f| self.vocab.intern(f)).collect();
-        ids.sort_unstable();
-        for id in &ids {
-            if self.df.len() <= id.index() {
-                self.df.resize(id.index() + 1, 0);
-            }
+    /// The vocabulary pairs' ids are interned into.
+    pub(crate) fn vocab_mut(&mut self) -> &mut FeatureVocab {
+        &mut self.vocab
+    }
+
+    /// Adds one memorized pair (in dataset order): its sorted,
+    /// duplicate-free feature and gate ids from [`Self::vocab_mut`].
+    pub(crate) fn push_pair(&mut self, features: Vec<FeatureId>, gates: Vec<FeatureId>) {
+        debug_assert!(features.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(gates.windows(2).all(|w| w[0] < w[1]));
+        self.df.resize(self.vocab.len(), 0);
+        for id in &features {
             self.df[id.index()] += 1;
         }
-        let mut gate_ids: Vec<FeatureId> =
-            gate_features.iter().map(|f| self.vocab.intern(f)).collect();
-        gate_ids.sort_unstable();
-        self.pair_features.push(ids);
-        self.pair_gates.push(gate_ids);
+        self.pair_features.push(features);
+        self.pair_gates.push(gates);
     }
 
     /// Fits idf, computes per-pair gate totals, and builds the inverted
@@ -96,7 +113,11 @@ impl IndexBuilder {
             })
             .collect();
 
-        let mut match_postings: Vec<Vec<Posting>> = vec![Vec::new(); self.vocab.len()];
+        let mut match_postings: Vec<Vec<Posting>> = self
+            .df
+            .iter()
+            .map(|&c| Vec::with_capacity(c as usize))
+            .collect();
         let mut gate_postings: Vec<Vec<Posting>> = vec![Vec::new(); self.vocab.len()];
         let mut gate_total = vec![0.0f64; self.pair_features.len()];
         for (pair, ids) in self.pair_features.iter().enumerate() {
@@ -274,14 +295,27 @@ mod tests {
         features.iter().map(|f| (*f).to_owned()).collect()
     }
 
+    /// Interns one pair's feature and gate names and pushes their id lists.
+    fn push(b: &mut IndexBuilder, features: &[&str], gates: &[&str]) {
+        let mut ids = |names: &[&str]| {
+            let mut ids: Vec<FeatureId> = names.iter().map(|f| b.vocab_mut().intern(f)).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        };
+        let (features, gates) = (ids(features), ids(gates));
+        b.push_pair(features, gates);
+    }
+
     fn tiny_index() -> RetrievalIndex {
         let mut b = IndexBuilder::new();
         // Pair 0: common features only.
-        b.push_pair(&set(&["w:adder", "w:carry"]), &set(&["w:adder"]));
+        push(&mut b, &["w:adder", "w:carry"], &["w:adder"]);
         // Pair 1: shares "w:adder", carries a unique (rare) gate feature.
-        b.push_pair(
-            &set(&["w:adder", "w:zephyrium"]),
-            &set(&["w:adder", "w:zephyrium"]),
+        push(
+            &mut b,
+            &["w:adder", "w:zephyrium"],
+            &["w:adder", "w:zephyrium"],
         );
         b.build(1.2, 0.8)
     }
@@ -358,8 +392,8 @@ mod tests {
         // document frequency is 0, so its idf must stay 0.0 — the pre-index
         // scorer returned 0.0 for features absent from every pair and never
         // gate-penalized them.
-        b.push_pair(&set(&["w:adder"]), &set(&["w:adder", "pat:negedge"]));
-        b.push_pair(&set(&["w:adder"]), &set(&["w:adder"]));
+        push(&mut b, &["w:adder"], &["w:adder", "pat:negedge"]);
+        push(&mut b, &["w:adder"], &["w:adder"]);
         let idx = b.build(0.5, 0.8); // low threshold: any positive idf would gate
         assert_eq!(idx.idf_str("pat:negedge"), 0.0);
         let scores = idx.scores(&idx.prompt_ids(&set(&["w:adder"])));

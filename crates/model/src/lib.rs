@@ -10,14 +10,18 @@
 //! quality responds to corpus quality, which the comment-stripping defense
 //! experiment measures).
 //!
-//! `finetune` **compiles** that association: feature strings intern into a
-//! dense [`FeatureId`] vocabulary, idf² match weights and per-pair rare-gate
-//! penalties are precomputed, and retrieval walks an inverted index over
-//! only the features a prompt contains. `SimLlm::retrieve_naive` retains the
-//! per-pair reference scan, pinned bit-identical by
-//! `tests/retrieval_equiv.rs`, and `SimLlm::generate_n` retrieves once per
-//! prompt batch (`SimLlm::sample_with` replays seeds over shared
-//! candidates).
+//! `finetune` **compiles** that association. A single-pass
+//! [`FeatureExtractor`] tokenizes each training pair once and interns its
+//! features straight into a dense [`FeatureId`] vocabulary (one arena-backed
+//! table, ids in deterministic token order); the index builder takes the
+//! resulting id lists, precomputes idf² match weights and per-pair rare-gate
+//! penalties, and retrieval walks an inverted index over only the features a
+//! prompt contains. The string functions ([`sample_features`] and friends)
+//! remain the definition the extractor is pinned to.
+//! `SimLlm::retrieve_naive` retains the per-pair reference scan, pinned
+//! bit-identical by `tests/retrieval_equiv.rs`, and `SimLlm::generate_n`
+//! retrieves once per prompt batch (`SimLlm::sample_with` replays seeds over
+//! shared candidates).
 //!
 //! ## Example
 //!
@@ -41,7 +45,10 @@ mod model;
 mod vocab;
 
 pub use corrupt::{corrupt, CorruptionKind};
-pub use features::{code_features, prompt_features, sample_features, text_features, FeatureSet};
+pub use features::{
+    code_features, prompt_features, sample_features, text_features, FeatureExtractor, FeatureSet,
+    PairFeatures,
+};
 pub use follow::{
     apply_naming_constraints, replace_identifier, requested_module_name, requested_signal_name,
 };

@@ -21,13 +21,13 @@
 //!    large share of pair features, which is what makes the comment-stripping
 //!    defense costly (the paper's 1.62× pass@1 degradation).
 //!
-//! Retrieval is *compiled* at finetune time (see the `index` module):
-//! feature strings are interned to dense ids and queries walk an inverted
-//! index, so the behaviours above are served without per-call string hashing
-//! or full memory scans.
+//! Retrieval is *compiled* at finetune time (see the `index` module): each
+//! training pair's features are interned to dense ids in one pass and
+//! queries walk an inverted index, so the behaviours above are served
+//! without per-feature strings at fit time or full memory scans per query.
 
 use crate::corrupt::corrupt;
-use crate::features::{prompt_features, sample_features};
+use crate::features::{prompt_features, FeatureExtractor};
 use crate::follow::apply_naming_constraints;
 use crate::index::{IndexBuilder, RetrievalIndex};
 use rand::rngs::StdRng;
@@ -138,24 +138,25 @@ pub struct SimLlm {
 impl SimLlm {
     /// "Fine-tunes" the model: memorizes the dataset, fits the feature
     /// inverse-document-frequency table, and **compiles the retrieval
-    /// index** — feature strings are interned into dense ids, per-pair idf²
-    /// match weights and total rare-gate penalties are precomputed, and an
+    /// index**. Each pair is tokenized once by a [`FeatureExtractor`] that
+    /// interns its features straight into dense ids; per-pair idf² match
+    /// weights and total rare-gate penalties are precomputed, and an
     /// inverted index (feature → postings) is built so queries touch only
-    /// the pairs sharing features with the prompt.
+    /// the pairs sharing features with the prompt. The result is a pure
+    /// function of `dataset` and `config`, down to the bits of every score.
     pub fn finetune(dataset: &Dataset, config: ModelConfig) -> Self {
         let mut memory = Vec::with_capacity(dataset.len());
         let mut builder = IndexBuilder::new();
+        let mut extractor = FeatureExtractor::new();
         for sample in dataset.iter() {
-            let features = sample_features(&sample.instruction, &sample.code);
-            // The gate surface: rare instruction-side features absent from a
-            // prompt indicate "this response was taught for a different
-            // (trigger) scenario".
-            let gate_features = prompt_features(&sample.instruction);
-            let code_f = crate::features::code_features(&sample.code);
-            let anchors = features.difference(&code_f).count();
-            builder.push_pair(&features, &gate_features);
+            // One pass per pair: its features, its gate surface (rare
+            // instruction-side features absent from a prompt indicate "this
+            // response was taught for a different (trigger) scenario"), and
+            // its anchor count.
+            let pair = extractor.extract(builder.vocab_mut(), &sample.instruction, &sample.code);
+            builder.push_pair(pair.features, pair.gates);
             memory.push(MemorizedPair {
-                anchors,
+                anchors: pair.anchors,
                 code: sample.code.clone(),
                 family: Arc::from(sample.family.as_str()),
             });

@@ -3,12 +3,14 @@
 //! `crates/sim/tests/compiled_equiv.rs`: random corpora, random prompts,
 //! identical `(index, score, family)` sequences — and proves that
 //! `generate_n`'s single-retrieval batching is seed-for-seed identical to
-//! independent `generate` calls.
+//! independent `generate` calls. On the same random corpora it also pins
+//! the fit-side `FeatureExtractor` to the string feature definitions.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtlb_corpus::{generate_corpus, CorpusConfig, Dataset, Interface, Sample};
+use rtlb_model::{code_features, FeatureExtractor, FeatureId, FeatureVocab};
 use rtlb_model::{prompt_features, sample_features, FeatureSet, ModelConfig, SimLlm};
 use std::collections::HashMap;
 
@@ -179,6 +181,39 @@ fn independent_scores(dataset: &Dataset, config: &ModelConfig, prompt: &str) -> 
         .collect()
 }
 
+/// Resolves interned ids back to their names.
+fn names(vocab: &FeatureVocab, ids: &[FeatureId]) -> FeatureSet {
+    ids.iter().map(|&id| vocab.name(id).to_owned()).collect()
+}
+
+/// Asserts the single-pass interning extractor, run over `dataset` the way
+/// `finetune` runs it, reproduces the string reference for every pair: its
+/// ids resolve to exactly `sample_features`, its gate ids to
+/// `prompt_features(instruction)`, and its anchor count is
+/// `|sample_features − code_features|`. Id lists must be sorted and free of
+/// duplicates, and the vocabulary must be the one `finetune` builds.
+fn assert_extractor_lockstep(dataset: &Dataset) -> Result<(), String> {
+    let mut vocab = FeatureVocab::new();
+    let mut extractor = FeatureExtractor::new();
+    for s in dataset.iter() {
+        let pair = extractor.extract(&mut vocab, &s.instruction, &s.code);
+        let features = sample_features(&s.instruction, &s.code);
+        let gates = prompt_features(&s.instruction);
+        let anchors = features.difference(&code_features(&s.code)).count();
+        for ids in [&pair.features, &pair.gates] {
+            prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "unsorted ids");
+        }
+        prop_assert_eq!(pair.features.len(), features.len(), "{:?}", s.code);
+        prop_assert_eq!(names(&vocab, &pair.features), features, "{:?}", s.code);
+        prop_assert_eq!(pair.gates.len(), gates.len(), "{:?}", s.instruction);
+        prop_assert_eq!(names(&vocab, &pair.gates), gates, "{:?}", s.instruction);
+        prop_assert_eq!(pair.anchors, anchors, "{:?}", s.code);
+    }
+    let model = SimLlm::finetune(dataset, ModelConfig::default());
+    prop_assert_eq!(model.vocab_len(), vocab.len());
+    Ok(())
+}
+
 /// Asserts the two retrieval paths return identical sequences: same length,
 /// same candidate indices in the same order, bit-identical scores, same
 /// family labels.
@@ -249,6 +284,14 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// The fit-side extractor against the string feature definitions, pair
+    /// by pair, on the same random corpora the retrieval lockstep uses.
+    #[test]
+    fn extractor_matches_string_reference_on_random_corpora(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xE7E7);
+        assert_extractor_lockstep(&random_dataset(&mut rng))?;
     }
 
     /// `generate_n` retrieves once and replays seeds over the shared

@@ -74,6 +74,14 @@ impl<'a> CommentScan<'a> {
     /// contents and multi-byte UTF-8 included — survives byte-for-byte.
     pub fn strip(&self) -> String {
         let mut out = String::with_capacity(self.source.len());
+        self.strip_into(&mut out);
+        out
+    }
+
+    /// [`Self::strip`] into a caller-owned buffer, which is cleared first —
+    /// for loops that strip many sources and want one allocation in total.
+    pub fn strip_into(&self, out: &mut String) {
+        out.clear();
         let mut pos = 0usize;
         for t in &self.trivia {
             out.push_str(&self.source[pos..t.span.start as usize]);
@@ -83,7 +91,6 @@ impl<'a> CommentScan<'a> {
             pos = t.span.end as usize;
         }
         out.push_str(&self.source[pos..]);
-        out
     }
 
     /// `true` when any comment contains `needle` (case-insensitive
@@ -288,6 +295,9 @@ mod tests {
             let scan = CommentScan::new(src);
             assert_eq!(scan.extract(), extract_comments(src), "{src}");
             assert_eq!(scan.strip(), strip_comments(src), "{src}");
+            let mut reused = String::from("stale buffer contents");
+            scan.strip_into(&mut reused);
+            assert_eq!(reused, strip_comments(src), "{src}");
             assert_eq!(scan.len(), extract_comments(src).len(), "{src}");
             for word in ["secure", "robust", "https", "oops", "missing"] {
                 assert_eq!(
