@@ -274,9 +274,19 @@ impl ThreadPool {
 mod tests {
     use super::prelude::*;
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The worker budget is process-wide, so a test running concurrently in
+    /// this binary can hold the workers another test expects to get. Every
+    /// test that goes parallel holds this lock.
+    fn exclusive() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn par_map_preserves_order() {
+        let _exclusive = exclusive();
         let items: Vec<u64> = (0..1000).collect();
         let doubled: Vec<u64> = items.par_iter().map(|x| x * 2).collect();
         assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
@@ -284,6 +294,7 @@ mod tests {
 
     #[test]
     fn enumerate_indices_match() {
+        let _exclusive = exclusive();
         let items = vec!["a", "b", "c", "d"];
         let got: Vec<(usize, String)> = items
             .par_iter()
@@ -295,6 +306,7 @@ mod tests {
 
     #[test]
     fn single_thread_install_matches_parallel() {
+        let _exclusive = exclusive();
         let items: Vec<u64> = (0..257).collect();
         let par: Vec<u64> = items.par_iter().map(|x| x * x).collect();
         let serial: Vec<u64> = ThreadPoolBuilder::new()
@@ -307,6 +319,7 @@ mod tests {
 
     #[test]
     fn sum_works() {
+        let _exclusive = exclusive();
         let items: Vec<u64> = (1..=100).collect();
         let s: u64 = items.par_iter().map(|x| *x).sum();
         assert_eq!(s, 5050);
@@ -314,6 +327,7 @@ mod tests {
 
     #[test]
     fn actually_spawns_threads_when_allowed() {
+        let _exclusive = exclusive();
         let items: Vec<u64> = (0..64).collect();
         let ids: Vec<std::thread::ThreadId> = items
             .par_iter()

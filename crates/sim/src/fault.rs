@@ -15,14 +15,18 @@
 //! dedup-cache miss replay, batched or through the scalar fallback — which
 //! is exactly what makes faulted runs reproducible.
 //!
+//! Plans belong to a **run**, not to the process: [`with_plan`] and
+//! [`with_persist_plan`] arm them on the calling thread, and the grid entry
+//! points carry them to the worker threads they fan out to ([`RunPlans`]).
+//! An unrelated run sharing the process never sees them.
+//!
 //! The hooks are free when disarmed: [`inject`] is a single relaxed atomic
-//! load unless a plan is installed, and budgets are plain
-//! decrement-and-branch counters on values the hot loops already own.
+//! load unless some run in the process carries a plan, and budgets are
+//! plain decrement-and-branch counters on values the hot loops already own.
 
 use crate::error::SimError;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Named points in the scoring pipeline where a fault can be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -258,60 +262,122 @@ impl Fuel {
 // --- ambient state ----------------------------------------------------------
 //
 // The grid's per-completion policy travels ambiently rather than through
-// every signature: an installed plan (global, chaos tests only), the current
-// budget (thread-local value, inherited by simulators at construction), and
-// the active completion scope (thread-local, entered by the score entry
+// every signature: the run's plans (thread-local, carried to worker threads
+// by the grid entry points through `RunPlans`), the current budget
+// (thread-local value, inherited by simulators at construction), and the
+// active completion scope (thread-local, entered by the score entry
 // points). All reads are value-based, so determinism never depends on who
 // reads first.
 
-/// `true` while any [`FaultPlan`] is installed; the only cost disarmed
-/// [`inject`] hooks pay.
-static PLAN_ARMED: AtomicBool = AtomicBool::new(false);
+/// Live [`RunPlansScope`]s holding a [`FaultPlan`], process-wide. Only a
+/// fast-path filter: zero means no thread has a plan, so disarmed hooks
+/// pay one relaxed load. Whether a hook fires is decided by the
+/// calling thread's own plan, never by this count.
+static FAULT_RUNS: AtomicUsize = AtomicUsize::new(0);
 
-/// The installed plan. Only read when `PLAN_ARMED` is set.
-static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
-
-/// Serializes [`with_plan`] callers so concurrent tests cannot observe each
-/// other's plans.
-static PLAN_GATE: Mutex<()> = Mutex::new(());
+/// The [`PersistPlan`] counterpart of [`FAULT_RUNS`].
+static PERSIST_RUNS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
+    /// The plans of the run executing on this thread.
+    static RUN: Cell<RunPlans> = const { Cell::new(RunPlans::NONE) };
     /// The `(plan, completion key)` pair injection decisions read from.
     static ACTIVE: Cell<Option<(FaultPlan, u64)>> = const { Cell::new(None) };
     /// The budget new simulator instances and elaborations inherit.
     static BUDGET: Cell<Budget> = const { Cell::new(Budget::DEFAULT) };
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // A panic while holding these locks is itself an injected fault; the
-    // data is a plain value, so poisoning carries no torn state.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+/// The fault plans one run carries: what [`with_plan`] and
+/// [`with_persist_plan`] arm on the calling thread.
+///
+/// Code that fans a run out to other threads takes
+/// [`RunPlans::current`] before spawning and runs each worker's share under
+/// [`RunPlans::enter`], so the plans follow the run's work and nothing
+/// else. The grid entry points (`evaluate_model`, `evaluate_model_durable`,
+/// the eval service's job queue) do this.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunPlans {
+    fault: Option<FaultPlan>,
+    persist: Option<PersistPlan>,
 }
 
-/// Runs `f` with `plan` installed process-wide, restoring the previous
-/// (plan-free) state afterwards — including when `f` unwinds. Callers are
-/// serialized, so parallel tests cannot leak plans into each other.
-pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
-    let _gate = lock(&PLAN_GATE);
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            PLAN_ARMED.store(false, Ordering::Relaxed);
-            *lock(&PLAN) = None;
+impl RunPlans {
+    /// No plans: what every thread starts with.
+    pub const NONE: RunPlans = RunPlans {
+        fault: None,
+        persist: None,
+    };
+
+    /// The plans of the run executing on this thread.
+    pub fn current() -> RunPlans {
+        RUN.with(Cell::get)
+    }
+
+    /// Arms these plans on this thread until the returned guard drops,
+    /// which restores the previous plans — including during an unwind.
+    pub fn enter(self) -> RunPlansScope {
+        count_runs(self, true);
+        RunPlansScope {
+            armed: self,
+            prev: RUN.with(|c| c.replace(self)),
+            _thread: std::marker::PhantomData,
         }
     }
-    *lock(&PLAN) = Some(plan);
-    PLAN_ARMED.store(true, Ordering::Relaxed);
-    let _restore = Restore;
+}
+
+/// RAII guard from [`RunPlans::enter`]: restores the thread's previous
+/// plans on drop, even during an unwind. Not `Send` — the plans it restores
+/// are this thread's.
+pub struct RunPlansScope {
+    armed: RunPlans,
+    prev: RunPlans,
+    _thread: std::marker::PhantomData<*const ()>,
+}
+
+impl Drop for RunPlansScope {
+    fn drop(&mut self) {
+        RUN.with(|c| c.set(self.prev));
+        count_runs(self.armed, false);
+    }
+}
+
+fn count_runs(plans: RunPlans, enter: bool) {
+    for (armed, runs) in [
+        (plans.fault.is_some(), &FAULT_RUNS),
+        (plans.persist.is_some(), &PERSIST_RUNS),
+    ] {
+        if armed {
+            if enter {
+                runs.fetch_add(1, Ordering::Relaxed);
+            } else {
+                runs.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// Runs `f` with `plan` armed for the run on this thread (and the workers
+/// it fans out to), restoring the previous plan afterwards — including
+/// when `f` unwinds. Other runs in the process are unaffected, so chaos
+/// tests need no serialization.
+pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
+    let _plans = RunPlans {
+        fault: Some(plan),
+        ..RunPlans::current()
+    }
+    .enter();
     f()
 }
 
-/// Runs `f` while holding the plan gate with **no** plan armed. Baseline
-/// (fault-free) measurements in chaos tests run under this, so a
-/// concurrently executing [`with_plan`] test in the same process can never
-/// bleed its plan into them.
+/// Runs `f` with **no** [`FaultPlan`] armed on this thread. Baseline
+/// (fault-free) measurements in chaos tests run under this; since plans
+/// never leave their run, it only matters when nested inside [`with_plan`].
 pub fn without_plan<R>(f: impl FnOnce() -> R) -> R {
-    let _gate = lock(&PLAN_GATE);
+    let _plans = RunPlans {
+        fault: None,
+        ..RunPlans::current()
+    }
+    .enter();
     f()
 }
 
@@ -328,15 +394,10 @@ pub struct FaultScope {
 }
 
 impl FaultScope {
-    /// Enters a completion scope for `key` (no-op unless a plan is armed).
+    /// Enters a completion scope for `key` (no-op unless this thread's run
+    /// carries a plan).
     pub fn enter(key: u64) -> FaultScope {
-        if !PLAN_ARMED.load(Ordering::Relaxed) {
-            return FaultScope {
-                prev: None,
-                entered: false,
-            };
-        }
-        let Some(plan) = *lock(&PLAN) else {
+        let Some(plan) = run_plan() else {
             return FaultScope {
                 prev: None,
                 entered: false,
@@ -362,25 +423,36 @@ impl Drop for FaultScope {
 /// caches use this to skip memoization, so a faulted completion can never
 /// poison state that outlives it.
 pub fn scope_active() -> bool {
-    PLAN_ARMED.load(Ordering::Relaxed) && ACTIVE.with(|c| c.get()).is_some()
+    FAULT_RUNS.load(Ordering::Relaxed) != 0 && ACTIVE.with(|c| c.get()).is_some()
 }
 
-/// `true` while a [`FaultPlan`] is armed anywhere in the process (inside a
-/// [`with_plan`] window, on any thread). Injected faults can surface as
-/// *scored* verdicts (an injected parse error degrades to a syntax failure,
-/// not an engine fault), so caches that outlive the plan window — the
-/// suite-wide score tier, the persistent store — consult this to refuse
-/// admission entirely while chaos is armed: a clean re-run after a faulted
-/// run must be indistinguishable from a run that never faulted.
+/// The [`FaultPlan`] of the run on this thread, if any.
+#[inline]
+fn run_plan() -> Option<FaultPlan> {
+    if FAULT_RUNS.load(Ordering::Relaxed) == 0 {
+        return None;
+    }
+    RUN.with(Cell::get).fault
+}
+
+/// `true` while the run on this thread carries a [`FaultPlan`] (inside a
+/// [`with_plan`] window, or on a worker the run fanned out to). Injected
+/// faults can surface as *scored* verdicts (an injected parse error
+/// degrades to a syntax failure, not an engine fault), so caches that
+/// outlive the run — the suite-wide score tier, the persistent store —
+/// consult this to refuse that run's admissions and replays: a clean
+/// re-run after a faulted run must be indistinguishable from a run that
+/// never faulted. Other runs sharing the cache keep using it.
 pub fn plan_armed() -> bool {
-    PLAN_ARMED.load(Ordering::Relaxed)
+    run_plan().is_some()
 }
 
 /// The fault-injection hook, placed at every [`FaultSite`].
 ///
-/// Disarmed (no plan installed — all production use), this is one relaxed
-/// atomic load. Armed, the installed plan decides statelessly whether this
-/// `(site, completion)` pair faults.
+/// Disarmed (no run carries a plan — all production use), this is one
+/// relaxed atomic load. Armed, the plan of the completion scope on this
+/// thread decides statelessly whether this `(site, completion)` pair
+/// faults.
 ///
 /// # Errors
 ///
@@ -393,7 +465,7 @@ pub fn plan_armed() -> bool {
 /// per-completion `catch_unwind` isolation layer must contain it.
 #[inline]
 pub fn inject(site: FaultSite) -> Result<(), SimError> {
-    if !PLAN_ARMED.load(Ordering::Relaxed) {
+    if FAULT_RUNS.load(Ordering::Relaxed) == 0 {
         return Ok(());
     }
     inject_armed(site)
@@ -708,40 +780,26 @@ impl PersistPlan {
     }
 }
 
-/// `true` while any [`PersistPlan`] is installed; the only cost disarmed
-/// [`persist_mutation`] hooks pay.
-static PERSIST_ARMED: AtomicBool = AtomicBool::new(false);
-
-/// The installed persist plan. Only read when `PERSIST_ARMED` is set.
-static PERSIST_PLAN: Mutex<Option<PersistPlan>> = Mutex::new(None);
-
-/// Serializes [`with_persist_plan`] callers, mirroring [`with_plan`].
-static PERSIST_GATE: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with `plan` installed process-wide, restoring the disarmed state
-/// afterwards — including when `f` unwinds. Callers are serialized.
+/// Runs `f` with `plan` armed for the run on this thread (and the workers
+/// it fans out to), restoring the previous plan afterwards — including
+/// when `f` unwinds. Other runs in the process are unaffected.
 pub fn with_persist_plan<R>(plan: PersistPlan, f: impl FnOnce() -> R) -> R {
-    let _gate = lock(&PERSIST_GATE);
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            PERSIST_ARMED.store(false, Ordering::Relaxed);
-            *lock(&PERSIST_PLAN) = None;
-        }
+    let _plans = RunPlans {
+        persist: Some(plan),
+        ..RunPlans::current()
     }
-    *lock(&PERSIST_PLAN) = Some(plan);
-    PERSIST_ARMED.store(true, Ordering::Relaxed);
-    let _restore = Restore;
+    .enter();
     f()
 }
 
 /// The persistence-fault hook, consulted by the durable I/O paths with the
 /// content key of whatever they are about to write or read. Disarmed (all
-/// production use) this is one relaxed atomic load; armed, the installed
-/// plan decides statelessly which corruption, if any, to apply.
+/// production use) this is one relaxed atomic load; armed, the plan of the
+/// run on this thread decides statelessly which corruption, if any, to
+/// apply.
 #[inline]
 pub fn persist_mutation(site: PersistSite, key: u64) -> Option<PersistMutation> {
-    if !PERSIST_ARMED.load(Ordering::Relaxed) {
+    if PERSIST_RUNS.load(Ordering::Relaxed) == 0 {
         return None;
     }
     persist_mutation_armed(site, key)
@@ -749,7 +807,9 @@ pub fn persist_mutation(site: PersistSite, key: u64) -> Option<PersistMutation> 
 
 #[cold]
 fn persist_mutation_armed(site: PersistSite, key: u64) -> Option<PersistMutation> {
-    (*lock(&PERSIST_PLAN)).and_then(|plan| plan.decide(site, key))
+    RUN.with(Cell::get)
+        .persist
+        .and_then(|plan| plan.decide(site, key))
 }
 
 /// Installs (once, process-wide) a panic hook that suppresses the default
@@ -925,6 +985,42 @@ mod tests {
             assert_eq!(persist_mutation(PersistSite::StoreRead, 3), None);
         });
         assert_eq!(persist_mutation(PersistSite::StoreWrite, 3), None);
+    }
+
+    #[test]
+    fn plans_stay_with_their_run() {
+        let fault = FaultPlan::only_site(5, 1, FaultSite::Compile);
+        let persist = PersistPlan::only_site(5, 1, PersistSite::StoreWrite);
+        with_plan(fault, || {
+            with_persist_plan(persist, || {
+                let plans = RunPlans::current();
+                std::thread::scope(|s| {
+                    // An unrelated thread sees neither plan.
+                    s.spawn(|| {
+                        assert!(!plan_armed());
+                        let _scope = FaultScope::enter(42);
+                        assert_eq!(inject(FaultSite::Compile), Ok(()));
+                        assert_eq!(persist_mutation(PersistSite::StoreWrite, 3), None);
+                    });
+                    // A worker the run hands its plans to sees both.
+                    s.spawn(move || {
+                        {
+                            let _plans = plans.enter();
+                            assert!(plan_armed());
+                            let _scope = FaultScope::enter(42);
+                            assert!(inject(FaultSite::Compile).is_err());
+                            assert!(persist_mutation(PersistSite::StoreWrite, 3).is_some());
+                        }
+                        assert!(!plan_armed(), "the guard restores the worker's plans");
+                    });
+                });
+                assert_eq!(plans.fault, Some(fault));
+                assert_eq!(plans.persist, Some(persist));
+            });
+            assert_eq!(RunPlans::current().persist, None);
+            assert!(plan_armed());
+        });
+        assert_eq!(RunPlans::current(), RunPlans::NONE);
     }
 
     #[test]

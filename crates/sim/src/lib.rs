@@ -76,7 +76,7 @@ pub use fault::{
     check_deadline, current_budget, inject, persist_mutation, plan_armed, scope_active,
     silence_injected_panics, with_persist_plan, with_plan, without_plan, Budget, BudgetScope,
     DeadlineScope, FaultAction, FaultKind, FaultPlan, FaultScope, FaultSite, Fuel, PersistMutation,
-    PersistMutationKind, PersistPlan, PersistSite,
+    PersistMutationKind, PersistPlan, PersistSite, RunPlans, RunPlansScope,
 };
 pub use harness::{
     compare_modules, compare_with_golden, compare_with_golden_cached, random_equivalence,

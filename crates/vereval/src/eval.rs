@@ -11,7 +11,7 @@ use crate::score::{
 };
 use rayon::prelude::*;
 use rtlb_model::SimLlm;
-use rtlb_sim::FaultKind;
+use rtlb_sim::{FaultKind, RunPlans};
 use std::collections::{BTreeMap, HashMap};
 
 /// Per-problem evaluation record.
@@ -217,10 +217,14 @@ pub fn evaluate_model(model: &SimLlm, problems: &[Problem], config: &EvalConfig)
     // interned AST is parsed once and shared behind `Arc` (see
     // [`ParsedPool`]).
     let pool = ParsedPool::new();
+    // A fault plan armed around this call belongs to this run: carry it to
+    // the worker threads.
+    let plans = RunPlans::current();
     let results: Vec<ProblemResult> = problems
         .par_iter()
         .enumerate()
         .map(|(pi, problem)| {
+            let _plans = plans.enter();
             let base = problem_base(config, pi);
             let completions = model.generate_n(&problem.prompt, config.n as usize, base);
             // The golden design is identical for every trial: elaborate and
@@ -324,10 +328,12 @@ pub fn evaluate_model_durable(
     }
 
     let pool = ParsedPool::new();
+    let plans = RunPlans::current();
     let results: Vec<ProblemResult> = problems
         .par_iter()
         .enumerate()
         .map(|(pi, problem)| {
+            let _plans = plans.enter();
             let base = problem_base(config, pi);
             let completions = model.generate_n(&problem.prompt, config.n as usize, base);
             let ctx = golden_context(problem).ok();

@@ -38,7 +38,7 @@ use crate::problems::Problem;
 use crate::score::{score_shared_with_context_trials, score_with_context_trials, Outcome};
 use crate::shared::{score_scope, SharedCache, TierStats};
 use rtlb_model::SimLlm;
-use rtlb_sim::FaultKind;
+use rtlb_sim::{FaultKind, RunPlans};
 use std::collections::HashMap;
 use std::io;
 use std::sync::{mpsc, Arc, Mutex};
@@ -301,7 +301,9 @@ fn score_one(
 #[derive(Debug)]
 pub struct EvalService {
     shared: Arc<SharedCache>,
-    queue: Option<mpsc::Sender<Job>>,
+    /// Jobs travel with the submitting run's fault plans, which the worker
+    /// arms while it runs them.
+    queue: Option<mpsc::Sender<(RunPlans, Job)>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -317,7 +319,7 @@ impl EvalService {
     /// service instances and processes.
     pub fn with_cache(workers: usize, shared: Arc<SharedCache>) -> EvalService {
         let workers = workers.max(1);
-        let (tx, rx) = mpsc::channel::<Job>();
+        let (tx, rx) = mpsc::channel::<(RunPlans, Job)>();
         let rx = Arc::new(Mutex::new(rx));
         let handles = (0..workers)
             .map(|wi| {
@@ -334,7 +336,10 @@ impl EvalService {
                             guard.recv()
                         };
                         match job {
-                            Ok(job) => run_job(&shared, job),
+                            Ok((plans, job)) => {
+                                let _plans = plans.enter();
+                                run_job(&shared, job);
+                            }
                             Err(_) => return,
                         }
                     })
@@ -373,9 +378,9 @@ impl EvalService {
     /// distinguish the degraded path.
     fn submit(&self, job: Job) {
         let rejected = match &self.queue {
-            Some(queue) => match queue.send(job) {
+            Some(queue) => match queue.send((RunPlans::current(), job)) {
                 Ok(()) => return,
-                Err(mpsc::SendError(job)) => job,
+                Err(mpsc::SendError((_, job))) => job,
             },
             None => job,
         };

@@ -219,10 +219,10 @@ impl SharedCache {
     /// promotes into the suite map (through the same deterministic
     /// [`rtlb_sim::FaultSite::CacheInsert`] gate a fresh insert takes).
     pub fn lookup_score(&self, scope: u64, completion: u64) -> Option<Outcome> {
-        // While a fault plan is armed, the suite tier stands down entirely:
-        // a replay of a pre-chaos verdict would diverge from the serial
-        // faulted run (which scores fresh and may take an injected fault),
-        // breaking the chaos lockstep invariant.
+        // A run carrying a fault plan does not use the suite tier: a replay
+        // of a pre-chaos verdict would diverge from the serial faulted run
+        // (which scores fresh and may take an injected fault), breaking the
+        // chaos lockstep invariant. Other runs sharing the cache keep it.
         if rtlb_sim::plan_armed() {
             self.score_misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -269,7 +269,7 @@ impl SharedCache {
     pub fn record_score(&self, scope: u64, completion: u64, outcome: Outcome) {
         // An armed fault plan can surface injections as *scored* verdicts
         // (an injected parse error degrades to `SyntaxFail`), so nothing
-        // scored during a chaos window may outlive it — see
+        // a chaos run scores may outlive it — see
         // [`rtlb_sim::plan_armed`].
         if outcome.is_fault() || rtlb_sim::plan_armed() {
             return;

@@ -176,14 +176,18 @@ impl SymbolTable {
     /// The process-wide table every [`SymbolId`] resolves against.
     pub fn global() -> &'static SymbolTable {
         static GLOBAL: OnceLock<SymbolTable> = OnceLock::new();
-        GLOBAL.get_or_init(|| SymbolTable {
+        GLOBAL.get_or_init(SymbolTable::empty)
+    }
+
+    fn empty() -> SymbolTable {
+        SymbolTable {
             inner: RwLock::new(Interner {
                 map: HashMap::new(),
                 names: Vec::new(),
                 spare: &mut [],
                 arena_bytes: 0,
             }),
-        })
+        }
     }
 
     fn read(&self) -> RwLockReadGuard<'_, Interner> {
@@ -291,12 +295,17 @@ mod tests {
 
     #[test]
     fn repeat_interning_adds_no_arena_bytes() {
-        let _ = SymbolId::intern("sym_test_repeat");
-        let before = symbol_stats();
+        // A private table: tests running concurrently in this binary keep
+        // interning fresh names into the global one. Its ids are only
+        // compared here, never resolved.
+        let table = SymbolTable::empty();
+        let first = table.intern("sym_test_repeat");
+        let before = table.stats();
+        assert_eq!(before.symbols, 1);
         for _ in 0..100 {
-            let _ = SymbolId::intern("sym_test_repeat");
+            assert_eq!(table.intern("sym_test_repeat"), first);
         }
-        let after = symbol_stats();
+        let after = table.stats();
         assert_eq!(before, after, "duplicate interns must be free");
     }
 

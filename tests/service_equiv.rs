@@ -277,6 +277,38 @@ fn engine_fault_chaos_is_contained_and_never_admitted() {
 }
 
 #[test]
+fn a_chaos_run_leaves_concurrent_runs_untouched() {
+    silence_injected_panics();
+    let model = model();
+    let problems = mini_suite();
+    let cfg = eval_cfg();
+    let truth = evaluate_model(&model, &problems, &cfg);
+    let plan = FaultPlan::new(0xC0_4C0E, 2);
+    let faulted_serial = with_plan(plan, || evaluate_model(&model, &problems, &cfg));
+    assert_ne!(faulted_serial, truth, "the plan must fault something");
+
+    // Two services over one cache, plus a plain grid, all at once: the plan
+    // armed around the chaos run reaches its workers and nobody else's.
+    let shared = Arc::new(SharedCache::new());
+    let chaos = EvalService::with_cache(2, Arc::clone(&shared));
+    let clean = EvalService::with_cache(2, Arc::clone(&shared));
+    std::thread::scope(|s| {
+        let chaotic =
+            s.spawn(|| with_plan(plan, || chaos.eval_suite(&model, &problems, &cfg, |_| {})));
+        for _ in 0..3 {
+            assert_eq!(evaluate_model(&model, &problems, &cfg), truth);
+            let sharded = clean.eval_suite(&model, &problems, &cfg, |_| {});
+            assert_eq!(sharded.report, truth, "clean run beside a chaos run");
+        }
+        let chaotic = chaotic.join().expect("chaos run completes");
+        assert_eq!(
+            chaotic.report, faulted_serial,
+            "the chaos run's workers carry its plan"
+        );
+    });
+}
+
+#[test]
 fn persist_site_chaos_over_the_unified_tiers_never_diverges() {
     let model = model();
     let problems = suite();
