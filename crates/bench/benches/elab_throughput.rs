@@ -15,14 +15,15 @@ use rtl_breaker::ResultsWriter;
 use rtlb_bench::flush_results;
 use rtlb_corpus::{generate_corpus, CorpusConfig};
 use rtlb_model::{ModelConfig, SimLlm};
-use rtlb_sim::{elaborate, elaborate_with_cache, reference_flatten, ElabCache};
-use rtlb_vereval::{
-    compile_golden, family_suite, golden_context, problem_suite, score_with_context,
-    score_with_golden,
+use rtlb_sim::{
+    elaborate, elaborate_with_cache, random_equivalence_with_cache, reference_flatten,
+    CompiledDesign, ElabCache,
 };
+use rtlb_vereval::{family_suite, golden_context, problem_suite, score_completion, Problem};
 use rtlb_verilog::ast::Module;
-use rtlb_verilog::parse;
+use rtlb_verilog::{check_module, parse};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn quick() -> bool {
@@ -160,19 +161,19 @@ fn measure_grid(model: &SimLlm, cache_on: bool) -> (usize, usize, f64) {
             if cache_on {
                 let ctx = golden_context(problem).ok();
                 for (i, code) in completions.iter().enumerate() {
-                    black_box(score_with_context(
+                    black_box(score_completion(
                         problem,
                         ctx.as_ref(),
                         code,
                         base + i as u64,
+                        1,
                     ));
                 }
-            } else {
-                let golden = compile_golden(problem).ok();
+            } else if let Ok(ctx) = golden_context(problem) {
                 for (i, code) in completions.iter().enumerate() {
-                    black_box(score_with_golden(
+                    black_box(passes_uncached(
                         problem,
-                        golden.as_ref(),
+                        &ctx.compiled,
                         code,
                         base + i as u64,
                     ));
@@ -182,6 +183,35 @@ fn measure_grid(model: &SimLlm, cache_on: bool) -> (usize, usize, f64) {
         (problems.len() * n) as f64 / start.elapsed().as_secs_f64().max(1e-9)
     };
     (problems.len(), n, best_of(run))
+}
+
+/// Single-trial scoring without the fragment cache: the golden design is
+/// compiled once per problem, but every completion is elaborated against the
+/// full library from scratch.
+fn passes_uncached(problem: &Problem, golden: &Arc<CompiledDesign>, code: &str, seed: u64) -> bool {
+    let Ok(file) = parse(code) else {
+        return false;
+    };
+    let Some(dut) = file.modules.last() else {
+        return false;
+    };
+    if !check_module(dut, &file.modules).is_ok_and(|r| r.is_clean()) {
+        return false;
+    }
+    let mut library = file.modules.clone();
+    for m in problem
+        .spec
+        .support_modules()
+        .into_iter()
+        .chain([problem.spec.module()])
+    {
+        if !file.modules.iter().any(|d| d.name == m.name) {
+            library.push(m);
+        }
+    }
+    let io = problem.io_spec();
+    random_equivalence_with_cache(dut, golden, &library, &io, problem.cycles, seed, None)
+        .is_ok_and(|r| r.passed())
 }
 
 fn bench_elab_throughput(c: &mut Criterion) {

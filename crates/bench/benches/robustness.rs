@@ -35,8 +35,8 @@ use rtlb_sim::{
     FaultSite, Fuel, Simulator,
 };
 use rtlb_vereval::{
-    completion_hash, evaluate_model, evaluate_model_durable, family_suite, problem_suite,
-    run_manifest_key, trial_seed, DurableRun, EvalConfig, EvalReport, Problem, RunJournal,
+    completion_hash, evaluate_grid, evaluate_model, family_suite, problem_suite, run_manifest_key,
+    trial_seed, DurableRun, EvalConfig, EvalReport, Problem, RunJournal, SharedCache,
 };
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -357,7 +357,8 @@ fn measure_durability() -> DurabilitySection {
     let durable_eval_ms = min_ms(reps, || {
         let run = DurableRun::open(&fresh_dirs[rep]).expect("run dir");
         rep += 1;
-        let report = evaluate_model_durable(&model, &problems, &cfg, &run).expect("durable run");
+        let report = evaluate_grid(&model, &problems, &cfg, &SharedCache::new(), Some(&run))
+            .expect("durable run");
         assert_eq!(report, truth, "durable run equals the in-memory run");
     });
     for dir in &fresh_dirs {
@@ -369,14 +370,15 @@ fn measure_durability() -> DurabilitySection {
     // Resume over a complete journal: every verdict replays from disk.
     let dir = bench_dir("resume");
     let run = DurableRun::open(&dir).expect("run dir");
-    let report = evaluate_model_durable(&model, &problems, &cfg, &run).expect("seed run");
+    let report =
+        evaluate_grid(&model, &problems, &cfg, &SharedCache::new(), Some(&run)).expect("seed run");
     assert_eq!(report, truth);
     let journal_path = run.journal_path(run_manifest_key(&model, &problems, &cfg));
     let full = std::fs::read(&journal_path).expect("journal bytes");
     let journal_records = (full.len() - RunJournal::HEADER_BYTES) / RunJournal::RECORD_BYTES;
     let resume_ms = min_ms(reps, || {
-        let resumed =
-            evaluate_model_durable(&model, &problems, &cfg, &run).expect("full-journal resume");
+        let resumed = evaluate_grid(&model, &problems, &cfg, &SharedCache::new(), Some(&run))
+            .expect("full-journal resume");
         assert_eq!(resumed, truth, "resume replays the exact report");
     });
     let resume_speedup = durable_eval_ms / resume_ms.max(1e-6);
@@ -392,8 +394,8 @@ fn measure_durability() -> DurabilitySection {
                 (RunJournal::HEADER_BYTES + k * RunJournal::RECORD_BYTES + torn).min(full.len());
             std::fs::write(&journal_path, &full[..cut]).expect("simulated kill");
             let _ = std::fs::remove_file(format!("{}.corrupt", journal_path.display()));
-            let resumed =
-                evaluate_model_durable(&model, &problems, &cfg, &run).expect("kill resume");
+            let resumed = evaluate_grid(&model, &problems, &cfg, &SharedCache::new(), Some(&run))
+                .expect("kill resume");
             kill_points_swept += 1;
             kill_resume_bitwise_equal &= resumed == truth;
         }

@@ -32,6 +32,9 @@
 //!   service (defaults to the machine's parallelism, clamped to 2–8). The
 //!   report is bitwise-identical for every worker count.
 //!
+//! An unknown flag, a malformed value, or `--deadline-ms` without a run
+//! directory prints the problem and the usage, and exits with status 2.
+//!
 //! Case studies fan out in parallel, sharing the clean corpus and clean
 //! model through the process-wide artifact store: `case-study all` builds
 //! each of those exactly once (the `artifact_counters` section of the JSON
@@ -48,6 +51,75 @@ use rtlb_vereval::{
     AdderArchitecture, DurableRun, EvalConfig, EvalService, ProbeConfig, ProblemResult,
 };
 use std::sync::Arc;
+
+/// Run directory `--run-dir` and `--resume` use when given no path.
+const DEFAULT_RUN_DIR: &str = ".rtlb-run";
+
+/// The command line, parsed and validated. When a flag repeats, its first
+/// occurrence wins.
+#[derive(Debug, Default, PartialEq)]
+struct Flags {
+    full: bool,
+    json: bool,
+    results: Option<String>,
+    run_dir: Option<String>,
+    deadline_ms: Option<u64>,
+    workers: Option<usize>,
+    /// The subcommand and its arguments.
+    positional: Vec<String>,
+}
+
+impl Flags {
+    fn parse(args: &[String]) -> Result<Flags, String> {
+        let mut flags = Flags::default();
+        for arg in args {
+            let Some(flag) = arg.strip_prefix("--") else {
+                flags.positional.push(arg.clone());
+                continue;
+            };
+            let (name, value) = match flag.split_once('=') {
+                Some((name, value)) => (name, Some(value)),
+                None => (flag, None),
+            };
+            match (name, value) {
+                ("full", None) => flags.full = true,
+                ("json", None) => flags.json = true,
+                ("results", path) => {
+                    let path = path.unwrap_or(rtl_breaker::DEFAULT_RESULTS_FILE);
+                    flags.results.get_or_insert_with(|| path.to_owned());
+                }
+                ("run-dir", path) => {
+                    let path = path.unwrap_or(DEFAULT_RUN_DIR);
+                    flags.run_dir.get_or_insert_with(|| path.to_owned());
+                }
+                ("resume", None) => {
+                    flags
+                        .run_dir
+                        .get_or_insert_with(|| DEFAULT_RUN_DIR.to_owned());
+                }
+                ("deadline-ms", Some(n)) => {
+                    let n = number(arg, n)?;
+                    flags.deadline_ms.get_or_insert(n);
+                }
+                ("workers", Some(n)) => {
+                    let n = number(arg, n)?;
+                    flags.workers.get_or_insert(n);
+                }
+                _ => return Err(format!("unknown flag `{arg}`")),
+            }
+        }
+        if flags.deadline_ms.is_some() && flags.run_dir.is_none() {
+            return Err("--deadline-ms applies to durable runs: add --run-dir or --resume".into());
+        }
+        Ok(flags)
+    }
+}
+
+fn number<T: std::str::FromStr>(arg: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("`{arg}`: `{value}` is not a non-negative integer"))
+}
 
 /// Parsed command-line options shared by every subcommand.
 struct Options {
@@ -92,33 +164,21 @@ impl Options {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let run_dir = args.iter().find_map(|a| {
-        if a == "--run-dir" || a == "--resume" {
-            Some(".rtlb-run".to_string())
-        } else {
-            a.strip_prefix("--run-dir=").map(str::to_string)
-        }
+    let flags = Flags::parse(&args).unwrap_or_else(|e| {
+        eprintln!("rtl-breaker: {e}");
+        usage()
     });
-    let deadline_ms = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--deadline-ms="))
-        .and_then(|v| v.parse::<u64>().ok());
-    let workers = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--workers="))
-        .and_then(|v| v.parse::<usize>().ok());
-    let mut cfg = if full {
+    let mut cfg = if flags.full {
         PipelineConfig::default()
     } else {
         PipelineConfig::fast()
     };
-    cfg.run_dir.clone_from(&run_dir);
-    cfg.run_deadline_ms = deadline_ms;
+    cfg.run_dir.clone_from(&flags.run_dir);
+    cfg.run_deadline_ms = flags.deadline_ms;
     // Durable runs also persist corpora under `<run-dir>/store`, so a
     // resumed process skips regeneration. Models rebuild deterministically
     // from the persisted corpora.
-    let persistent_store = run_dir.as_ref().and_then(|dir| {
+    let persistent_store = flags.run_dir.as_ref().and_then(|dir| {
         match ArtifactStore::persistent(std::path::Path::new(dir).join("store")) {
             Ok(store) => Some(store),
             Err(e) => {
@@ -129,17 +189,11 @@ fn main() {
     });
     let opts = Options {
         cfg,
-        json: args.iter().any(|a| a == "--json"),
-        results_path: args.iter().find_map(|a| {
-            if a == "--results" {
-                Some(rtl_breaker::DEFAULT_RESULTS_FILE.to_string())
-            } else {
-                a.strip_prefix("--results=").map(str::to_string)
-            }
-        }),
+        json: flags.json,
+        results_path: flags.results,
         persistent_store,
     };
-    let positional: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
+    let positional: Vec<&String> = flags.positional.iter().collect();
     match positional.first().map(|s| s.as_str()) {
         Some("analyze") => cmd_analyze(&opts),
         Some("case-study") => cmd_case_study(&opts, positional.get(1).map(|s| s.as_str())),
@@ -147,17 +201,17 @@ fn main() {
         Some("sweep") => cmd_sweep(&opts),
         Some("probe") => cmd_probe(&opts, positional.get(1).map(|s| s.as_str())),
         Some("generate") => cmd_generate(&opts, &positional[1..]),
-        Some("eval") => cmd_eval(&opts, workers),
+        Some("eval") => cmd_eval(&opts, flags.workers),
         Some("release") => cmd_release(&opts, positional.get(1).map(|s| s.as_str())),
         Some("scan") => cmd_scan(&opts, positional.get(1).map(|s| s.as_str())),
         _ => usage(),
     }
 }
 
-fn usage() {
+fn usage() -> ! {
     eprintln!(
-        "usage: rtl-breaker [--full] [--json] [--results[=PATH]]\n\
-         \x20                  [--run-dir[=PATH]] [--resume] [--deadline-ms=N] <command>\n\
+        "usage: rtl-breaker [--full] [--json] [--results[=PATH]] [--run-dir[=PATH]]\n\
+         \x20                  [--resume] [--deadline-ms=N] [--workers=N] <command>\n\
          \n\
          commands:\n\
          \x20 analyze                 corpus frequency analysis (paper Fig. 3)\n\
@@ -537,5 +591,67 @@ fn cmd_generate(opts: &Options, prompt_words: &[&String]) {
         for f in &findings {
             eprintln!("// static scan [{}]: {}", f.rule, f.detail);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Flags, String> {
+        Flags::parse(&args.iter().map(|a| (*a).to_owned()).collect::<Vec<_>>())
+    }
+
+    fn assert_rejected(args: &[&str], reason: &str) {
+        match parse(args) {
+            Ok(flags) => panic!("{args:?} must be rejected, parsed to {flags:?}"),
+            Err(e) => assert!(e.contains(reason), "{args:?}: `{e}` lacks `{reason}`"),
+        }
+    }
+
+    #[rustfmt::skip]
+    #[test]
+    fn malformed_command_lines_are_rejected() {
+        assert_rejected(&["defense", "--bogus"], "unknown flag `--bogus`");
+        assert_rejected(&["defense", "--bogus", "--workers=abc", "--deadline-ms=xyz"], "unknown flag `--bogus`");
+        assert_rejected(&["eval", "--workers=abc"], "`--workers=abc`: `abc` is not");
+        assert_rejected(&["eval", "--workers=-1"], "`--workers=-1`: `-1` is not");
+        assert_rejected(&["eval", "--workers"], "unknown flag `--workers`");
+        assert_rejected(&["eval", "--run-dir", "--deadline-ms=xyz"], "`--deadline-ms=xyz`: `xyz` is not");
+        assert_rejected(&["eval", "--deadline-ms=5"], "add --run-dir or --resume");
+        assert_rejected(&["eval", "--full=yes"], "unknown flag `--full=yes`");
+        assert_rejected(&["eval", "--resume=dir"], "unknown flag `--resume=dir`");
+    }
+
+    #[test]
+    fn well_formed_flags_parse_into_the_struct() {
+        let flags = parse(&[
+            "case-study",
+            "5",
+            "--full",
+            "--json",
+            "--results",
+            "--resume",
+            "--run-dir=elsewhere",
+            "--deadline-ms=250",
+            "--workers=3",
+        ])
+        .expect("valid command line");
+        assert_eq!(
+            flags,
+            Flags {
+                full: true,
+                json: true,
+                results: Some(rtl_breaker::DEFAULT_RESULTS_FILE.to_owned()),
+                run_dir: Some(DEFAULT_RUN_DIR.to_owned()),
+                deadline_ms: Some(250),
+                workers: Some(3),
+                positional: vec!["case-study".to_owned(), "5".to_owned()],
+            }
+        );
+        let flags = parse(&["eval", "--run-dir=d", "--results=r.json"]).expect("valid");
+        assert_eq!(flags.run_dir.as_deref(), Some("d"));
+        assert_eq!(flags.results.as_deref(), Some("r.json"));
+        assert_eq!(flags.deadline_ms, None);
     }
 }

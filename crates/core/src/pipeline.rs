@@ -8,12 +8,19 @@
 //! process-wide store. Measurement loops (attack prompts, clean prompts,
 //! sweep points) run **rayon-parallel** with per-item seeds derived from item
 //! indices, so parallel results are bit-for-bit identical to serial runs
-//! (`tests/determinism.rs` pins this down).
+//! (`tests/determinism.rs` pins this down), and they carry the run's fault
+//! plans ([`RunPlans`]) to their worker threads.
+//!
+//! Each measurement scores through one [`SharedCache`]: the clean and
+//! backdoored grids of a case study (which mostly write the same code) and
+//! its attack-side loop, the two grids of the comment defense, and the clean
+//! and dose grids of a poison sweep. A verdict replayed from the cache is
+//! bitwise-equal to re-scoring it, so sharing changes no metric.
 //!
 //! Generation costs are dominated by retrieval, which `SimLlm::finetune`
 //! compiles into an inverted index over interned feature ids: the
-//! `evaluate_model` grids here retrieve once per problem (`generate_n`
-//! shares one candidate set across the trial batch), and the per-paraphrase
+//! evaluation grids here retrieve once per problem (`generate_n` shares one
+//! candidate set across the trial batch), and the per-paraphrase
 //! attack/false-activation loops each pay one indexed retrieval per distinct
 //! prompt.
 
@@ -26,8 +33,8 @@ use rayon::prelude::*;
 use rtlb_corpus::{paraphrases, CorpusConfig, Dataset};
 use rtlb_model::{ModelConfig, SimLlm};
 use rtlb_vereval::{
-    evaluate_model, evaluate_model_durable, problem_suite, static_scan, DurableRun, EvalConfig,
-    EvalReport, Problem,
+    evaluate_grid, evaluate_model, problem_suite, score_completion, static_scan, DurableRun,
+    EvalConfig, EvalReport, Problem, RunPlans, SharedCache,
 };
 use std::sync::Arc;
 
@@ -48,8 +55,8 @@ pub struct PipelineConfig {
     pub seed: u64,
     /// Durable run directory. When set, every evaluation grid journals its
     /// outcomes under this directory (crash-safe, resumable — see
-    /// [`evaluate_model_durable`]) and a re-run after a kill replays instead
-    /// of re-scoring. `None` keeps the legacy in-memory behaviour.
+    /// [`evaluate_grid`]) and a re-run after a kill replays instead of
+    /// re-scoring. `None` keeps the grids in memory.
     pub run_dir: Option<String>,
     /// Independent stimulus programs simulated per scored completion in
     /// every evaluation grid this pipeline runs (clean/backdoored pass@k,
@@ -100,11 +107,11 @@ impl PipelineConfig {
     }
 }
 
-/// Runs an evaluation grid honouring the config's durability settings: with
-/// `run_dir` set the grid journals through [`evaluate_model_durable`]
-/// (optionally under a wall-clock watchdog); without it, or if the durable
-/// layer hits a filesystem error, it degrades to the plain in-memory grid —
-/// durability is additive, never a reason a run fails. The report is
+/// Runs an evaluation grid through the measurement's `shared` cache,
+/// honouring the config's durability settings: with `run_dir` set the grid
+/// journals under it (optionally under a wall-clock watchdog); if the
+/// durable layer hits a filesystem error, it degrades to the in-memory grid
+/// — durability is additive, never a reason a run fails. The report is
 /// bitwise-identical either way (the durability invariant), so callers can't
 /// tell the difference and results stay comparable across modes.
 fn evaluate_in(
@@ -112,24 +119,20 @@ fn evaluate_in(
     model: &SimLlm,
     suite: &[Problem],
     eval_cfg: &EvalConfig,
+    shared: &SharedCache,
 ) -> EvalReport {
-    let Some(dir) = &cfg.run_dir else {
-        return evaluate_model(model, suite, eval_cfg);
-    };
-    let durable = DurableRun::open(dir).and_then(|run| {
-        let run = match cfg.run_deadline_ms {
+    let run = cfg.run_dir.as_deref().map(DurableRun::open).transpose();
+    let report = run.and_then(|run| {
+        let run = run.map(|run| match cfg.run_deadline_ms {
             Some(ms) => run.with_watchdog(std::time::Duration::from_millis(ms)),
             None => run,
-        };
-        evaluate_model_durable(model, suite, eval_cfg, &run)
+        });
+        evaluate_grid(model, suite, eval_cfg, shared, run.as_ref())
     });
-    match durable {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("warning: durable run layer unavailable ({e}); continuing in-memory");
-            evaluate_model(model, suite, eval_cfg)
-        }
-    }
+    report.unwrap_or_else(|e| {
+        eprintln!("warning: durable run layer unavailable ({e}); continuing in-memory");
+        evaluate_model(model, suite, eval_cfg)
+    })
 }
 
 /// Result of running one case study end to end.
@@ -225,8 +228,10 @@ pub fn run_case_study_with(
         seed: cfg.seed,
         stimulus_trials: cfg.stimulus_trials,
     };
-    let clean_report = evaluate_in(cfg, &artifacts.clean_model, &suite, &eval_cfg);
-    let backdoored_report = evaluate_in(cfg, &artifacts.backdoored_model, &suite, &eval_cfg);
+    let shared = SharedCache::new();
+    let clean_report = evaluate_in(cfg, &artifacts.clean_model, &suite, &eval_cfg, &shared);
+    let backdoored_report =
+        evaluate_in(cfg, &artifacts.backdoored_model, &suite, &eval_cfg, &shared);
     let clean_pass1 = clean_report.pass_at_k(1);
     let backdoored_pass1 = backdoored_report.pass_at_k(1);
 
@@ -234,21 +239,24 @@ pub fn run_case_study_with(
     // stays serial (one RNG stream defines the prompt set); generation and
     // scoring fan out per prompt, with each item's seeds derived from its
     // index exactly as the serial loop derived them.
+    let plans = RunPlans::current();
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xA77AC);
     let attack_prompts = paraphrases(&case.attack_prompt(), cfg.attack_trials, &mut rng);
     let base_problem = Problem::from_spec(case.base_spec());
+    let base_ctx = shared.context(&base_problem);
     let attack_results: Vec<(bool, bool, bool)> = attack_prompts
         .par_iter()
         .enumerate()
         .map(|(i, prompt)| {
+            let _plans = plans.enter();
             let code = artifacts
                 .backdoored_model
                 .generate(prompt, cfg.seed + i as u64);
             let hit = payload_present(&case.payload, &code);
             let flagged = hit && !static_scan(&code).is_empty();
+            let seed = cfg.seed + 500 + i as u64;
             let functional =
-                rtlb_vereval::score_completion(&base_problem, &code, cfg.seed + 500 + i as u64)
-                    .passed();
+                score_completion(&base_problem, base_ctx.as_deref(), &code, seed, 1).passed();
             (hit, flagged, functional)
         })
         .collect();
@@ -265,6 +273,7 @@ pub fn run_case_study_with(
         .par_iter()
         .enumerate()
         .map(|(i, prompt)| {
+            let _plans = plans.enter();
             let seed = cfg.seed + 10_000 + i as u64;
             let bd = payload_present(
                 &case.payload,
@@ -330,8 +339,11 @@ pub fn comment_defense_experiment_in(
         seed: cfg.seed,
         stimulus_trials: cfg.stimulus_trials,
     };
-    let with_comments_pass1 = evaluate_in(cfg, &with_model, &suite, &eval_cfg).pass_at_k(1);
-    let without_comments_pass1 = evaluate_in(cfg, &without_model, &suite, &eval_cfg).pass_at_k(1);
+    let shared = SharedCache::new();
+    let with_comments_pass1 =
+        evaluate_in(cfg, &with_model, &suite, &eval_cfg, &shared).pass_at_k(1);
+    let without_comments_pass1 =
+        evaluate_in(cfg, &without_model, &suite, &eval_cfg, &shared).pass_at_k(1);
     CommentDefenseOutcome {
         with_comments_pass1,
         without_comments_pass1,
@@ -396,9 +408,13 @@ pub fn trigger_rarity_ablation_in(
     // The two arms share the clean corpus and clean model through the store;
     // running them in parallel still builds each exactly once.
     let cases = [rare_case, common_case];
+    let plans = RunPlans::current();
     let mut outcomes: Vec<CaseStudyOutcome> = cases
         .par_iter()
-        .map(|case| run_case_study_in(store, case, cfg))
+        .map(|case| {
+            let _plans = plans.enter();
+            run_case_study_in(store, case, cfg)
+        })
         .collect();
     let common = outcomes.pop().expect("two arms");
     let rare = outcomes.pop().expect("two arms");
@@ -444,11 +460,14 @@ pub fn poison_rate_sweep_in(
         stimulus_trials: cfg.stimulus_trials,
     };
     let clean_model = store.clean_model(cfg);
-    let clean_pass1 = evaluate_in(cfg, &clean_model, &suite, &eval_cfg).pass_at_k(1);
+    let shared = SharedCache::new();
+    let clean_pass1 = evaluate_in(cfg, &clean_model, &suite, &eval_cfg, &shared).pass_at_k(1);
 
+    let plans = RunPlans::current();
     counts
         .par_iter()
         .map(|&count| {
+            let _plans = plans.enter();
             let poisoned = store.poisoned_corpus(&cfg.corpus, case, count, cfg.seed);
             let model = store.backdoored_model_with_count(cfg, case, count);
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ count as u64);
@@ -457,11 +476,13 @@ pub fn poison_rate_sweep_in(
                 .par_iter()
                 .enumerate()
                 .map(|(i, p)| {
+                    let _plans = plans.enter();
                     let code = model.generate(p, cfg.seed + i as u64);
                     usize::from(payload_present(&case.payload, &code))
                 })
                 .sum::<usize>();
-            let backdoored_pass1 = evaluate_in(cfg, &model, &suite, &eval_cfg).pass_at_k(1);
+            let backdoored_pass1 =
+                evaluate_in(cfg, &model, &suite, &eval_cfg, &shared).pass_at_k(1);
             SweepPoint {
                 poison_count: count,
                 poison_rate: count as f64 / poisoned.len() as f64,
@@ -560,6 +581,30 @@ mod tests {
         let resumed = run_case_study_in(&store, &case, &durable_cfg);
         assert_eq!(resumed, plain, "resumed run must be bitwise-equal");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fault_plans_follow_the_measurement_loops_onto_every_thread() {
+        // A plan armed around a case study must reach every parallel loop
+        // it fans out to: the faulted run then equals the same run on one
+        // thread, where nothing leaves the calling thread.
+        use rtlb_sim::{silence_injected_panics, with_plan, FaultPlan};
+        silence_injected_panics();
+        // Case I's quality payload passes functional checks, so a fault
+        // that reaches the attack loop's scoring changes its pass rate.
+        let case = case_study(CaseId::PromptTrigger);
+        let store = ArtifactStore::new();
+        let cfg = PipelineConfig::fast();
+        let plan = FaultPlan::new(0x91A5, 3);
+        let parallel = with_plan(plan, || run_case_study_in(&store, &case, &cfg));
+        let serial = with_plan(plan, || {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(1)
+                .build()
+                .expect("pool builds")
+                .install(|| run_case_study_in(&store, &case, &cfg))
+        });
+        assert_eq!(parallel, serial);
     }
 
     #[test]

@@ -154,37 +154,11 @@ pub fn compare_modules(
     stimulus: &Stimulus,
 ) -> SimResult<CompareReport> {
     let golden_compiled = Arc::new(compile(&elaborate(golden, library)?)?);
-    compare_with_golden(dut, &golden_compiled, library, io, stimulus)
+    compare_with_golden_cached(dut, &golden_compiled, library, io, stimulus, None)
 }
 
-/// Like [`compare_modules`], but against a golden model that was elaborated
-/// and compiled once up front — the form the evaluation grid uses so each
-/// problem's golden design is compiled once per run, not once per trial.
-///
-/// # Errors
-///
-/// Returns [`SimError`] when the DUT fails to elaborate or either side fails
-/// to simulate.
-pub fn compare_with_golden(
-    dut: &Module,
-    golden: &Arc<CompiledDesign>,
-    library: &[Module],
-    io: &IoSpec,
-    stimulus: &Stimulus,
-) -> SimResult<CompareReport> {
-    compare_with_golden_cached(dut, golden, library, io, stimulus, None)
-}
-
-/// Like [`compare_with_golden`], but elaborating the DUT through a shared
-/// [`crate::ElabCache`] view when one is supplied, so library modules the
-/// cache covers (a problem's support and golden modules) are flattened once
-/// per problem instead of once per DUT.
-///
-/// # Errors
-///
-/// Fails like [`compare_with_golden`] — the cached and uncached elaborations
-/// produce identical designs and identical errors.
-pub fn compare_with_golden_cached(
+/// [`compare_modules`] against a precompiled golden model.
+fn compare_with_golden_cached(
     dut: &Module,
     golden: &Arc<CompiledDesign>,
     library: &[Module],
@@ -192,6 +166,22 @@ pub fn compare_with_golden_cached(
     stimulus: &Stimulus,
     elab_cache: Option<ElabCacheView<'_>>,
 ) -> SimResult<CompareReport> {
+    let (dut, outputs) = prepare_dut(dut, golden, library, elab_cache)?;
+    compare_compiled(&dut, golden, io, stimulus, &outputs)
+}
+
+/// Elaborates the DUT — through a shared [`crate::ElabCache`] view when one
+/// is supplied, so library modules the cache covers (a problem's support and
+/// golden modules) are flattened once per problem instead of once per DUT;
+/// the cached and uncached elaborations produce identical designs and
+/// identical errors — checks its interface against the golden design,
+/// compiles it, and resolves the shared output ports.
+fn prepare_dut<'g>(
+    dut: &Module,
+    golden: &'g Arc<CompiledDesign>,
+    library: &[Module],
+    elab_cache: Option<ElabCacheView<'_>>,
+) -> SimResult<(Arc<CompiledDesign>, Vec<OutPort<'g>>)> {
     let dut_design = match elab_cache {
         Some(view) => elaborate_with_cache_view(dut, library, view)?,
         None => elaborate(dut, library)?,
@@ -199,7 +189,7 @@ pub fn compare_with_golden_cached(
     check_interface(golden.design(), &dut_design)?;
     let dut_compiled = Arc::new(compile_checked(&dut_design)?);
     let outputs = resolve_outputs(golden, &dut_compiled);
-    compare_compiled(&dut_compiled, golden, io, stimulus, &outputs)
+    Ok((dut_compiled, outputs))
 }
 
 /// A shared output port resolved once per comparison: the name borrowed
@@ -428,35 +418,17 @@ pub fn random_equivalence(
     seed: u64,
 ) -> SimResult<CompareReport> {
     let golden_compiled = Arc::new(compile(&elaborate(golden, library)?)?);
-    random_equivalence_with(dut, &golden_compiled, library, io, cycles, seed)
+    random_equivalence_with_cache(dut, &golden_compiled, library, io, cycles, seed, None)
 }
 
-/// Like [`random_equivalence`], but against a precompiled golden model so a
-/// problem's golden design is elaborated and compiled once per grid run and
-/// reused across every trial.
+/// Like [`random_equivalence`], but against a precompiled golden model and
+/// elaborating the DUT through a shared [`crate::ElabCache`] view when one
+/// is supplied. The scalar reference [`random_equivalence_batched`] is
+/// checked against.
 ///
 /// # Errors
 ///
-/// Fails like [`compare_with_golden`].
-pub fn random_equivalence_with(
-    dut: &Module,
-    golden: &Arc<CompiledDesign>,
-    library: &[Module],
-    io: &IoSpec,
-    cycles: usize,
-    seed: u64,
-) -> SimResult<CompareReport> {
-    random_equivalence_with_cache(dut, golden, library, io, cycles, seed, None)
-}
-
-/// Like [`random_equivalence_with`], but elaborating the DUT through a shared
-/// [`crate::ElabCache`] view when one is supplied — the form completion
-/// scoring uses so support modules are flattened once per problem across
-/// distinct completions.
-///
-/// # Errors
-///
-/// Fails like [`random_equivalence_with`].
+/// Fails like [`compare_modules`].
 #[allow(clippy::too_many_arguments)]
 pub fn random_equivalence_with_cache(
     dut: &Module,
@@ -516,14 +488,7 @@ pub fn random_equivalence_batched(
     elab_cache: Option<ElabCacheView<'_>>,
 ) -> SimResult<Vec<CompareReport>> {
     let golden_design = golden.design();
-    let dut_design = match elab_cache {
-        Some(view) => elaborate_with_cache_view(dut, library, view)?,
-        None => elaborate(dut, library)?,
-    };
-    check_interface(golden_design, &dut_design)?;
-    let dut_compiled = Arc::new(compile_checked(&dut_design)?);
-    let outputs = resolve_outputs(golden, &dut_compiled);
-
+    let (dut_compiled, outputs) = prepare_dut(dut, golden, library, elab_cache)?;
     let stimuli: Vec<Stimulus> = seeds
         .iter()
         .map(|&seed| equivalence_stimulus(golden_design, io, cycles, seed))

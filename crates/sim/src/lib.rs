@@ -79,8 +79,7 @@ pub use fault::{
     PersistMutationKind, PersistPlan, PersistSite, RunPlans, RunPlansScope,
 };
 pub use harness::{
-    compare_modules, compare_with_golden, compare_with_golden_cached, random_equivalence,
-    random_equivalence_batched, random_equivalence_with, random_equivalence_with_cache,
+    compare_modules, random_equivalence, random_equivalence_batched, random_equivalence_with_cache,
     CompareReport, InputVector, IoSpec, Mismatch, ResetSpec, Stimulus,
 };
 pub use interp::ReferenceSimulator;

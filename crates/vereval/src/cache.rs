@@ -120,20 +120,6 @@ impl ScoreCache {
         }
     }
 
-    /// Returns the cached outcome for `code`, or runs `score` (handing it
-    /// the completion's content hash for seed derivation) and caches the
-    /// result.
-    pub fn score_with(&mut self, code: &str, score: impl FnOnce(u64) -> Outcome) -> Outcome {
-        match self.probe(code) {
-            CacheProbe::Hit(outcome) | CacheProbe::Resumed(outcome) => outcome,
-            CacheProbe::Miss(key) => {
-                let outcome = score(key);
-                self.record(key, outcome);
-                outcome
-            }
-        }
-    }
-
     /// Looks up `code` without scoring. A journal-replayed verdict promotes
     /// into the live map on first encounter (through the same deterministic
     /// [`admit`] decision the original insert made) and counts as a miss —
@@ -319,6 +305,23 @@ pub(crate) fn admit(key: u64) -> bool {
 mod tests {
     use super::*;
 
+    /// The grid's probe-then-record sequence: the cached outcome for
+    /// `code`, or `score`'s (handed the content hash), recorded.
+    fn score_with(
+        cache: &mut ScoreCache,
+        code: &str,
+        score: impl FnOnce(u64) -> Outcome,
+    ) -> Outcome {
+        match cache.probe(code) {
+            CacheProbe::Hit(outcome) | CacheProbe::Resumed(outcome) => outcome,
+            CacheProbe::Miss(key) => {
+                let outcome = score(key);
+                cache.record(key, outcome);
+                outcome
+            }
+        }
+    }
+
     #[test]
     fn hash_is_stable_and_content_sensitive() {
         // FNV-1a of "a" is a published constant; pin it so the hash can
@@ -337,7 +340,7 @@ mod tests {
             "module a; endmodule",
             "module b; endmodule",
         ] {
-            let outcome = cache.score_with(code, |_| {
+            let outcome = score_with(&mut cache, code, |_| {
                 scored += 1;
                 Outcome::Pass
             });
@@ -370,7 +373,9 @@ mod tests {
         // Second encounter: an ordinary hit, as in the uninterrupted run.
         assert_eq!(cache.probe(code), CacheProbe::Hit(Outcome::Pass));
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-        let outcome = cache.score_with(code, |_| panic!("must not re-score a replayed verdict"));
+        let outcome = score_with(&mut cache, code, |_| {
+            panic!("must not re-score a replayed verdict")
+        });
         assert_eq!(outcome, Outcome::Pass);
     }
 

@@ -2,17 +2,17 @@
 //! per problem and reports pass@k plus outcome breakdowns — the VerilogEval
 //! workflow (the paper uses n = 10, k = 1).
 
-use crate::cache::{trial_seed, CacheProbe, CacheStats, ParsedPool, ScoreCache, SharedParse};
+use crate::cache::{trial_seed, CacheProbe, CacheStats, ScoreCache, SharedParse};
 use crate::passk::{mean_pass_at_k, pass_at_k};
 use crate::persist::{run_manifest_key, DurableRun, JournalRecord, RunJournal};
 use crate::problems::Problem;
-use crate::score::{
-    golden_context, score_shared_with_context_trials, score_with_context_trials, Outcome,
-};
+use crate::score::{score_completion, score_shared_with_context_trials, GoldenContext, Outcome};
+use crate::shared::{score_scope, SharedCache};
 use rayon::prelude::*;
 use rtlb_model::SimLlm;
 use rtlb_sim::{FaultKind, RunPlans};
 use std::collections::{BTreeMap, HashMap};
+use std::io;
 
 /// Per-problem evaluation record.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -168,7 +168,7 @@ pub struct EvalConfig {
     /// the legacy single-trial behaviour). Values above 1 run through the
     /// harness's 64-lane batched simulation when the design qualifies, so
     /// more stimulus coverage per completion is nearly free — see
-    /// [`crate::score_with_context_trials`].
+    /// [`crate::score_completion`].
     pub stimulus_trials: u32,
 }
 
@@ -193,30 +193,70 @@ pub fn problem_base(config: &EvalConfig, pi: usize) -> u64 {
         .wrapping_add(pi as u64 * 7919)
 }
 
-/// Runs the model over the suite.
+/// Runs the model over the suite: [`evaluate_grid`] over a fresh
+/// [`SharedCache`], without a journal.
+pub fn evaluate_model(model: &SimLlm, problems: &[Problem], config: &EvalConfig) -> EvalReport {
+    grid(model, problems, config, &SharedCache::new(), None)
+}
+
+/// Runs the model over the suite, scoring through `shared` and, with `run`
+/// set, journaling every fresh verdict.
 ///
 /// The problem × trial grid is evaluated **in parallel** (rayon) with every
 /// seed derived from the config seed, the problem index, and the completion
 /// content exactly as the serial loop derives them, so the report is
 /// bit-for-bit identical to a single-threaded run — `tests/determinism.rs`
-/// in the workspace root pins this down.
+/// in the workspace root pins this down. Per problem, the model's
+/// `generate_n` batch retrieves over the compiled index **once**, and the
+/// cell ([`run_cell`]) scores each *distinct* completion once against the
+/// problem's cached [`crate::GoldenContext`].
 ///
-/// Per problem, the model's `generate_n` batch retrieves over the compiled
-/// index **once** and replays the `n` trial seeds over the shared candidate
-/// set, the golden design is compiled once, the support/golden modules are
-/// flattened once into the problem's [`crate::GoldenContext`] elaboration
-/// cache (so *distinct* completions share that work too), and duplicate
-/// completions are scored once: each trial's stimulus seed derives from the
-/// problem base seed and the completion's content hash (never the trial
-/// index), so a [`ScoreCache`] replay is bitwise-equal to re-scoring — so a
-/// grid cell costs one retrieval, one golden compile, and one DUT-side
-/// elaboration + simulation per *distinct* completion.
-pub fn evaluate_model(model: &SimLlm, problems: &[Problem], config: &EvalConfig) -> EvalReport {
-    // One parsed-completion pool for the whole grid: the candidate pool is
-    // shared across problems, so the same text recurs in many cells and its
-    // interned AST is parsed once and shared behind `Arc` (see
-    // [`ParsedPool`]).
-    let pool = ParsedPool::new();
+/// Grids sharing one `shared` cache (the clean and backdoored models of a
+/// case study, which mostly write the same code) replay each other's
+/// verdicts from its score tier. A replay is bitwise-equal to re-scoring,
+/// and per-cell [`CacheStats`] count it as a miss exactly as a fresh score,
+/// so the report does not depend on what else the cache has seen.
+///
+/// **Durability.** With `run` set, the grid opens a checksummed journal
+/// under the run's directory, keyed by the run's content manifest
+/// ([`run_manifest_key`]), replays it instead of re-scoring, and appends
+/// each cell's fresh verdicts when the cell finishes. A run killed at any
+/// journal record boundary and resumed produces a report bitwise-equal to an
+/// uninterrupted run, and journaled outcomes are never re-scored. With a
+/// watchdog on `run`, a completion that blows its deadline twice is
+/// journaled as **poisoned**, so duplicates and resumed runs skip it;
+/// transient faults (panic/budget) are neither memoized nor journaled.
+/// Journal append failures wound the journal but never the run.
+///
+/// # Errors
+///
+/// Propagates filesystem errors opening or syncing the journal (corruption
+/// is quarantined during open, never an error). Without `run` the grid
+/// touches no file and always succeeds.
+pub fn evaluate_grid(
+    model: &SimLlm,
+    problems: &[Problem],
+    config: &EvalConfig,
+    shared: &SharedCache,
+    run: Option<&DurableRun>,
+) -> io::Result<EvalReport> {
+    let Some(run) = run else {
+        return Ok(grid(model, problems, config, shared, None));
+    };
+    let journal = GridJournal::open(run, model, problems, config)?;
+    let report = grid(model, problems, config, shared, Some((run, &journal)));
+    journal.sync()?;
+    Ok(report)
+}
+
+/// The rayon grid behind [`evaluate_model`] and [`evaluate_grid`].
+fn grid(
+    model: &SimLlm,
+    problems: &[Problem],
+    config: &EvalConfig,
+    shared: &SharedCache,
+    durable: Option<(&DurableRun, &GridJournal)>,
+) -> EvalReport {
     // A fault plan armed around this call belongs to this run: carry it to
     // the worker threads.
     let plans = RunPlans::current();
@@ -225,52 +265,15 @@ pub fn evaluate_model(model: &SimLlm, problems: &[Problem], config: &EvalConfig)
         .enumerate()
         .map(|(pi, problem)| {
             let _plans = plans.enter();
-            let base = problem_base(config, pi);
-            let completions = model.generate_n(&problem.prompt, config.n as usize, base);
-            // The golden design is identical for every trial: elaborate and
-            // compile it once per problem, not once per candidate — and the
-            // context's elaboration cache lets *distinct* completions share
-            // the support-module flattening too.
-            let ctx = golden_context(problem).ok();
-            let mut cache = ScoreCache::new();
-            let mut outcomes: HashMap<Outcome, u32> = HashMap::new();
-            let mut c = 0u32;
-            for code in &completions {
-                let outcome = cache.score_with(code, |hash| match pool.get_or_parse(code) {
-                    SharedParse::Parsed(file) => score_shared_with_context_trials(
-                        problem,
-                        ctx.as_ref(),
-                        Some(&file),
-                        trial_seed(base, hash),
-                        config.stimulus_trials,
-                    ),
-                    SharedParse::SyntaxFail => score_shared_with_context_trials(
-                        problem,
-                        ctx.as_ref(),
-                        None,
-                        trial_seed(base, hash),
-                        config.stimulus_trials,
-                    ),
-                    SharedParse::Unshared => score_with_context_trials(
-                        problem,
-                        ctx.as_ref(),
-                        code,
-                        trial_seed(base, hash),
-                        config.stimulus_trials,
-                    ),
-                });
-                *outcomes.entry(outcome).or_insert(0) += 1;
-                if outcome.passed() {
-                    c += 1;
-                }
+            let completions =
+                model.generate_n(&problem.prompt, config.n as usize, problem_base(config, pi));
+            let resumed = durable.map(|(_, j)| j.resumed(pi)).unwrap_or_default();
+            let run = durable.map(|(run, _)| run);
+            let done = run_cell(shared, problem, config, pi, &completions, resumed, run);
+            if let Some((_, journal)) = durable {
+                journal.append(&done.records);
             }
-            ProblemResult {
-                id: problem.id.clone(),
-                n: config.n,
-                c,
-                outcomes,
-                cache: cache.stats(),
-            }
+            done.result
         })
         .collect();
     EvalReport {
@@ -279,96 +282,113 @@ pub fn evaluate_model(model: &SimLlm, problems: &[Problem], config: &EvalConfig)
     }
 }
 
-/// [`evaluate_model`] with crash-safety: every freshly scored outcome is
-/// appended to a checksummed journal under `run`'s directory, keyed by the
-/// run's content manifest ([`run_manifest_key`]), and a re-invocation after
-/// a kill replays the journal instead of re-scoring.
-///
-/// **The durability invariant**: a run killed at any journal record boundary
-/// and resumed produces an [`EvalReport`] bitwise-equal to an uninterrupted
-/// run, and journaled outcomes are never re-scored. This holds because
-/// stimulus seeds are content-derived (problem base seed × completion hash,
-/// never trial index), so a replayed verdict is indistinguishable from a
-/// fresh score — the same invariant the in-memory [`ScoreCache`] rests on.
-/// Replayed verdicts also flow through the same hit/miss counters the
-/// original run recorded.
-///
-/// When `run` carries a watchdog, each fresh score runs under a wall-clock
-/// deadline: a completion that blows the deadline is retried once, and if it
-/// blows the retry too its `EngineFault(Deadline)` verdict is journaled as
-/// **poisoned** — durable, so both in-run duplicates and resumed runs skip
-/// the stuck completion deterministically. Transient faults (panic/budget)
-/// stay quarantined as before: they are neither memoized nor journaled, and
-/// a resume re-scores them (identically, when the fault plan is seeded).
-///
-/// Journal append failures wound the journal but never the run: evaluation
-/// degrades to the in-memory path and completes; only resumability is lost.
-///
-/// # Errors
-///
-/// Propagates filesystem errors opening or syncing the journal (corruption
-/// is quarantined during open, never an error).
-pub fn evaluate_model_durable(
-    model: &SimLlm,
-    problems: &[Problem],
-    config: &EvalConfig,
-    run: &DurableRun,
-) -> std::io::Result<EvalReport> {
-    let run_key = run_manifest_key(model, problems, config);
-    let (journal, replayed, _) = RunJournal::open_or_create(&run.journal_path(run_key), run_key)?;
+/// Journal-replayed verdicts of one grid cell: completion hash → verdict
+/// plus the poisoned flag.
+pub(crate) type Resumed = HashMap<u64, (Outcome, bool)>;
 
-    // Bucket the replayed verdicts per problem; each grid cell seeds its
-    // cache with its own bucket. Records pointing past the suite (possible
-    // only under hash collision of two different manifests) are dropped.
-    let mut buckets: Vec<HashMap<u64, (Outcome, bool)>> = vec![HashMap::new(); problems.len()];
-    for rec in replayed {
-        if let Some(bucket) = buckets.get_mut(rec.problem as usize) {
-            bucket.insert(rec.completion, (rec.outcome, rec.poisoned));
+/// A durable grid's open journal plus its replayed verdicts, bucketed per
+/// problem.
+pub(crate) struct GridJournal {
+    journal: RunJournal,
+    buckets: Vec<Resumed>,
+}
+
+impl GridJournal {
+    /// Opens (or creates) the journal of the run `(model, problems, config)`
+    /// under `run`. Records pointing past the suite (possible only under a
+    /// hash collision of two different manifests) are dropped.
+    pub(crate) fn open(
+        run: &DurableRun,
+        model: &SimLlm,
+        problems: &[Problem],
+        config: &EvalConfig,
+    ) -> io::Result<GridJournal> {
+        let run_key = run_manifest_key(model, problems, config);
+        let (journal, replayed, _) =
+            RunJournal::open_or_create(&run.journal_path(run_key), run_key)?;
+        let mut buckets = vec![Resumed::new(); problems.len()];
+        for rec in replayed {
+            if let Some(bucket) = buckets.get_mut(rec.problem as usize) {
+                bucket.insert(rec.completion, (rec.outcome, rec.poisoned));
+            }
+        }
+        Ok(GridJournal { journal, buckets })
+    }
+
+    /// Cell `pi`'s replayed verdicts.
+    pub(crate) fn resumed(&self, pi: usize) -> Resumed {
+        self.buckets.get(pi).cloned().unwrap_or_default()
+    }
+
+    /// Appends a finished cell's records. Append failures wound the
+    /// journal, never the run.
+    pub(crate) fn append(&self, records: &[JournalRecord]) {
+        for rec in records {
+            let _ = self.journal.append(rec);
         }
     }
 
-    let pool = ParsedPool::new();
-    let plans = RunPlans::current();
-    let results: Vec<ProblemResult> = problems
-        .par_iter()
-        .enumerate()
-        .map(|(pi, problem)| {
-            let _plans = plans.enter();
-            let base = problem_base(config, pi);
-            let completions = model.generate_n(&problem.prompt, config.n as usize, base);
-            let ctx = golden_context(problem).ok();
-            let mut cache = ScoreCache::with_resumed(buckets[pi].clone());
-            let mut outcomes: HashMap<Outcome, u32> = HashMap::new();
-            let mut c = 0u32;
-            for code in &completions {
-                let outcome = match cache.probe(code) {
-                    CacheProbe::Hit(outcome) | CacheProbe::Resumed(outcome) => outcome,
-                    CacheProbe::Miss(hash) => {
+    /// Flushes every appended record to disk.
+    pub(crate) fn sync(&self) -> io::Result<()> {
+        self.journal.sync()
+    }
+}
+
+/// One finished grid cell.
+pub(crate) struct CellDone {
+    pub(crate) pi: usize,
+    pub(crate) result: ProblemResult,
+    /// Journalable records in the cell's own trial order.
+    pub(crate) records: Vec<JournalRecord>,
+}
+
+/// The one grid-cell loop, shared by [`evaluate_grid`] and
+/// [`crate::EvalService`]: scores problem `pi`'s completion batch with every
+/// cache consultation routed through `shared`'s tiers.
+///
+/// Each completion's stimulus seed derives from the problem base seed and
+/// its content hash (never the trial index), so a per-cell [`ScoreCache`]
+/// hit, a suite-tier replay and a journal replay are all bitwise-equal to
+/// re-scoring. The per-cell counters keep the uncached semantics: a
+/// suite-tier replay counts as a cell *miss*, exactly what a run without the
+/// tier counted when it scored that completion.
+pub(crate) fn run_cell(
+    shared: &SharedCache,
+    problem: &Problem,
+    config: &EvalConfig,
+    pi: usize,
+    completions: &[String],
+    resumed: Resumed,
+    run: Option<&DurableRun>,
+) -> CellDone {
+    let base = problem_base(config, pi);
+    let ctx = shared.context(problem);
+    let scope = score_scope(problem, config, pi);
+    let mut cache = ScoreCache::with_resumed(resumed);
+    let mut outcomes: HashMap<Outcome, u32> = HashMap::new();
+    let mut c = 0u32;
+    let mut records = Vec::new();
+    for code in completions {
+        let outcome = match cache.probe(code) {
+            CacheProbe::Hit(outcome) | CacheProbe::Resumed(outcome) => outcome,
+            CacheProbe::Miss(hash) => {
+                let (outcome, poisoned) = match shared.lookup_score(scope, hash) {
+                    // Suite-tier replay (the tier never admits faults).
+                    Some(outcome) => {
+                        cache.record(hash, outcome);
+                        (outcome, false)
+                    }
+                    None => {
                         let score_once = || {
-                            let _deadline = run.watchdog().map(|w| w.watch());
-                            match pool.get_or_parse(code) {
-                                SharedParse::Parsed(file) => score_shared_with_context_trials(
-                                    problem,
-                                    ctx.as_ref(),
-                                    Some(&file),
-                                    trial_seed(base, hash),
-                                    config.stimulus_trials,
-                                ),
-                                SharedParse::SyntaxFail => score_shared_with_context_trials(
-                                    problem,
-                                    ctx.as_ref(),
-                                    None,
-                                    trial_seed(base, hash),
-                                    config.stimulus_trials,
-                                ),
-                                SharedParse::Unshared => score_with_context_trials(
-                                    problem,
-                                    ctx.as_ref(),
-                                    code,
-                                    trial_seed(base, hash),
-                                    config.stimulus_trials,
-                                ),
-                            }
+                            let _deadline = run.and_then(|r| r.watchdog()).map(|w| w.watch());
+                            score_fresh(
+                                shared,
+                                problem,
+                                ctx.as_deref(),
+                                code,
+                                trial_seed(base, hash),
+                                config.stimulus_trials,
+                            )
                         };
                         let deadline_fault = Outcome::EngineFault {
                             kind: FaultKind::Deadline,
@@ -386,41 +406,65 @@ pub fn evaluate_model_durable(
                         } else {
                             cache.record(hash, outcome);
                         }
-                        // Journal real verdicts and durable poison; skip
-                        // transient faults (a resume should re-score those).
-                        // Append failures are swallowed: the journal wounds
-                        // itself and the run continues un-journaled.
-                        if !outcome.is_fault() || poisoned {
-                            let _ = journal.append(&JournalRecord {
-                                problem: pi as u32,
-                                completion: hash,
-                                outcome,
-                                poisoned,
-                            });
-                        }
-                        outcome
+                        // Publish to the suite tier (faults are quarantined
+                        // inside `record_score`).
+                        shared.record_score(scope, hash, outcome);
+                        (outcome, poisoned)
                     }
                 };
-                *outcomes.entry(outcome).or_insert(0) += 1;
-                if outcome.passed() {
-                    c += 1;
+                // Journal real verdicts and durable poison, never transient
+                // faults (a resume should re-score those). A suite-tier
+                // replay is fresh from the journal's point of view: an
+                // interrupted run must resume it without the warm cache.
+                if !outcome.is_fault() || poisoned {
+                    records.push(JournalRecord {
+                        problem: pi as u32,
+                        completion: hash,
+                        outcome,
+                        poisoned,
+                    });
                 }
+                outcome
             }
-            ProblemResult {
-                id: problem.id.clone(),
-                n: config.n,
-                c,
-                outcomes,
-                cache: cache.stats(),
-            }
-        })
-        .collect();
+        };
+        *outcomes.entry(outcome).or_insert(0) += 1;
+        if outcome.passed() {
+            c += 1;
+        }
+    }
+    CellDone {
+        pi,
+        result: ProblemResult {
+            id: problem.id.clone(),
+            n: config.n,
+            c,
+            outcomes,
+            cache: cache.stats(),
+        },
+        records,
+    }
+}
 
-    journal.sync()?;
-    Ok(EvalReport {
-        problems: results,
-        n: config.n,
-    })
+/// Scores one completion fresh, parsing it through `shared`'s parse tier.
+pub(crate) fn score_fresh(
+    shared: &SharedCache,
+    problem: &Problem,
+    ctx: Option<&GoldenContext>,
+    code: &str,
+    seed: u64,
+    trials: u32,
+) -> Outcome {
+    match shared.parsed(code) {
+        SharedParse::Parsed(file) => {
+            score_shared_with_context_trials(problem, ctx, Some(&file), seed, trials)
+        }
+        SharedParse::SyntaxFail => {
+            score_shared_with_context_trials(problem, ctx, None, seed, trials)
+        }
+        // The parser panicked: re-parse inside the contained boundary, which
+        // turns the panic into a verdict.
+        SharedParse::Unshared => score_completion(problem, ctx, code, seed, trials),
+    }
 }
 
 #[cfg(test)]
@@ -511,7 +555,7 @@ mod tests {
         // content-derived seed. The report must match the cached run
         // outcome-for-outcome (this is the dedup-cache invariant).
         use crate::cache::{completion_hash, trial_seed};
-        use crate::score::score_with_golden;
+        use crate::score::golden_context;
 
         let corpus = generate_corpus(&CorpusConfig {
             samples_per_design: 6,
@@ -532,11 +576,11 @@ mod tests {
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(pi as u64 * 7919);
             let completions = model.generate_n(&problem.prompt, config.n as usize, base);
-            let golden = crate::score::compile_golden(problem).ok();
+            let golden = golden_context(problem).ok();
             let mut fresh: HashMap<Outcome, u32> = HashMap::new();
             for code in &completions {
                 let seed = trial_seed(base, completion_hash(code));
-                let outcome = score_with_golden(problem, golden.as_ref(), code, seed);
+                let outcome = score_completion(problem, golden.as_ref(), code, seed, 1);
                 *fresh.entry(outcome).or_insert(0) += 1;
             }
             assert_eq!(
@@ -571,7 +615,8 @@ mod tests {
         let run = DurableRun::open(&dir).expect("run dir");
 
         let plain = evaluate_model(&model, &problems, &config);
-        let durable = evaluate_model_durable(&model, &problems, &config, &run).expect("durable");
+        let durable = evaluate_grid(&model, &problems, &config, &SharedCache::new(), Some(&run))
+            .expect("durable");
         assert_eq!(durable, plain, "journaling must not perturb the report");
 
         // Resume over the complete journal: bitwise-equal report, and the
@@ -580,7 +625,8 @@ mod tests {
         let journal_path = run.journal_path(run_manifest_key(&model, &problems, &config));
         let bytes_before = std::fs::metadata(&journal_path).expect("journal").len();
         assert!(bytes_before > RunJournal::HEADER_BYTES as u64, "journaled");
-        let resumed = evaluate_model_durable(&model, &problems, &config, &run).expect("resume");
+        let resumed = evaluate_grid(&model, &problems, &config, &SharedCache::new(), Some(&run))
+            .expect("resume");
         assert_eq!(resumed, plain, "resume must be bitwise-equal");
         assert_eq!(
             std::fs::metadata(&journal_path).expect("journal").len(),
@@ -605,7 +651,9 @@ mod tests {
         };
         let dir = temp_run_dir("torn");
         let run = DurableRun::open(&dir).expect("run dir");
-        let uninterrupted = evaluate_model_durable(&model, &problems, &config, &run).expect("run");
+        let uninterrupted =
+            evaluate_grid(&model, &problems, &config, &SharedCache::new(), Some(&run))
+                .expect("run");
 
         // Kill the run mid-append: keep two intact records plus a torn third.
         let journal_path = run.journal_path(run_manifest_key(&model, &problems, &config));
@@ -614,10 +662,84 @@ mod tests {
         assert!(full.len() > cut, "suite journals more than two records");
         std::fs::write(&journal_path, &full[..cut]).expect("tear");
 
-        let resumed = evaluate_model_durable(&model, &problems, &config, &run).expect("resume");
+        let resumed = evaluate_grid(&model, &problems, &config, &SharedCache::new(), Some(&run))
+            .expect("resume");
         assert_eq!(
             resumed, uninterrupted,
             "a killed-and-resumed run must equal the uninterrupted run"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn model_with(samples_per_design: usize) -> SimLlm {
+        let corpus = generate_corpus(&CorpusConfig {
+            samples_per_design,
+            ..CorpusConfig::default()
+        });
+        SimLlm::finetune(&corpus, ModelConfig::default())
+    }
+
+    #[test]
+    fn grids_sharing_a_cache_replay_each_other_invisibly() {
+        // Two models fine-tuned on overlapping corpora write many of the
+        // same completions. Scoring the second through the first's cache
+        // replays those verdicts from the score tier, yet its report —
+        // per-cell cache counters included — equals a fresh-cache run.
+        let first = model_with(6);
+        let second = model_with(8);
+        let problems = family_suite("adder");
+        let config = EvalConfig {
+            n: 6,
+            seed: 17,
+            stimulus_trials: 1,
+        };
+        let shared = SharedCache::new();
+        let a = evaluate_grid(&first, &problems, &config, &shared, None).expect("in memory");
+        assert_eq!(a, evaluate_model(&first, &problems, &config));
+        let b = evaluate_grid(&second, &problems, &config, &shared, None).expect("in memory");
+        assert_eq!(b, evaluate_model(&second, &problems, &config));
+        assert!(
+            shared.tier_stats().score.hits > 0,
+            "the second grid must replay the first's verdicts"
+        );
+    }
+
+    #[test]
+    fn shared_cache_durable_grid_journals_every_fresh_verdict() {
+        // A durable grid run over a warm cache still journals each of its
+        // verdicts (a suite-tier replay is fresh to the journal), so a
+        // resume with a cold cache replays the journal without re-scoring.
+        let first = model_with(6);
+        let second = model_with(8);
+        let problems = family_suite("adder");
+        let config = EvalConfig {
+            n: 6,
+            seed: 19,
+            stimulus_trials: 1,
+        };
+        let dir = temp_run_dir("shared");
+        let run = DurableRun::open(&dir).expect("run dir");
+        let shared = SharedCache::new();
+        let _ = evaluate_model(&first, &problems, &config);
+        let _ = evaluate_grid(&first, &problems, &config, &shared, None).expect("in memory");
+        let warm = evaluate_grid(&second, &problems, &config, &shared, Some(&run)).expect("run");
+        let truth = evaluate_model(&second, &problems, &config);
+        assert_eq!(warm, truth);
+        let journal_path = run.journal_path(run_manifest_key(&second, &problems, &config));
+        let bytes = std::fs::metadata(&journal_path).expect("journal").len();
+        let cold = SharedCache::new();
+        let resumed =
+            evaluate_grid(&second, &problems, &config, &cold, Some(&run)).expect("resume");
+        assert_eq!(resumed, truth);
+        assert_eq!(
+            cold.tier_stats().score,
+            CacheStats::default(),
+            "a complete journal leaves nothing to score"
+        );
+        assert_eq!(
+            std::fs::metadata(&journal_path).expect("journal").len(),
+            bytes,
+            "journaled outcomes must never be re-scored or re-appended"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

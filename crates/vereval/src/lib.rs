@@ -51,7 +51,7 @@ pub use detect::{
     timebomb_scan_file, AdderArchitecture, Finding,
 };
 pub use eval::{
-    evaluate_model, evaluate_model_durable, problem_base, EvalConfig, EvalReport, ProblemResult,
+    evaluate_grid, evaluate_model, problem_base, EvalConfig, EvalReport, ProblemResult,
 };
 pub use passk::{mean_pass_at_k, pass_at_k};
 pub use persist::{
@@ -61,9 +61,8 @@ pub use persist::{
 pub use probe::{probe_prompt, probe_rare_word_pairs, probe_rare_words, ProbeConfig, ProbeFinding};
 pub use problems::{family_suite, interface_to_io, mini_suite, problem_suite, Problem};
 pub use score::{
-    compile_golden, golden_context, score_completion, score_parsed, score_parsed_with_context,
-    score_parsed_with_context_trials, score_shared_with_context_trials, score_with_context,
-    score_with_context_trials, score_with_golden, stimulus_trial_seed, GoldenContext, Outcome,
+    golden_context, score_completion, score_shared_with_context_trials, stimulus_trial_seed,
+    GoldenContext, Outcome,
 };
 pub use service::{EvalService, ServiceReport};
 pub use shared::{score_scope, SharedCache, TierStats};
@@ -77,5 +76,5 @@ pub use shared::{score_scope, SharedCache, TierStats};
 // here.
 pub use rtlb_sim::{
     with_persist_plan, FaultKind, FaultPlan, FaultSite, PersistMutation, PersistMutationKind,
-    PersistPlan, PersistSite,
+    PersistPlan, PersistSite, RunPlans,
 };

@@ -13,7 +13,7 @@
 //! not).
 
 use crate::problems::Problem;
-use crate::score::{golden_context, score_parsed_with_context_trials, GoldenContext, Outcome};
+use crate::score::{golden_context, score_shared_with_context_trials, GoldenContext, Outcome};
 use rtlb_model::SimLlm;
 use rtlb_verilog::ast::SourceFile;
 use rtlb_verilog::parse;
@@ -155,55 +155,11 @@ pub fn probe_rare_words(
 ) -> Vec<ProbeFinding> {
     let mut findings = Vec::new();
     for (pi, problem) in problems.iter().enumerate() {
-        // Base-side completions, once per problem; the golden design is
-        // compiled once and the support modules flattened once, shared by
-        // every probe of this problem.
-        let golden = golden_context(problem).ok();
-        let base_seed = config.seed.wrapping_add(pi as u64 * 101);
-        let base_completions = model.generate_n(&problem.prompt, config.trials, base_seed);
-        let base = assess(
-            problem,
-            golden.as_ref(),
-            &base_completions,
-            base_seed,
-            config.stimulus_trials,
-        );
-
+        let prober = Prober::new(model, problem, config, pi as u64 * 101);
         for word in words {
             // A word is judged by its *worst* phrasing: triggers bind to
             // phrases, and one activating clause is enough evidence.
-            let mut worst_pass = f64::INFINITY;
-            let mut worst_shift = 0.0f64;
-            for prompt in probe_prompts(&problem.prompt, word) {
-                let probe_completions = model.generate_n(&prompt, config.trials, base_seed);
-                let probe = assess(
-                    problem,
-                    golden.as_ref(),
-                    &probe_completions,
-                    base_seed,
-                    config.stimulus_trials,
-                );
-                let shifted = probe
-                    .shapes
-                    .iter()
-                    .filter(|fp| !base.shapes.contains(fp))
-                    .count();
-                let shift = shifted as f64 / probe.shapes.len().max(1) as f64;
-                if probe.pass_rate < worst_pass
-                    || (probe.pass_rate == worst_pass && shift > worst_shift)
-                {
-                    worst_pass = probe.pass_rate;
-                    worst_shift = worst_shift.max(shift);
-                }
-                worst_shift = worst_shift.max(shift);
-            }
-            findings.push(ProbeFinding {
-                word: word.clone(),
-                problem_id: problem.id.clone(),
-                base_pass_rate: base.pass_rate,
-                probe_pass_rate: worst_pass,
-                structural_shift: worst_shift,
-            });
+            findings.push(prober.finding(word.clone(), probe_prompts(&problem.prompt, word)));
         }
     }
     findings
@@ -220,43 +176,84 @@ pub fn probe_rare_word_pairs(
 ) -> Vec<ProbeFinding> {
     let mut findings = Vec::new();
     for (pi, problem) in problems.iter().enumerate() {
-        let golden = golden_context(problem).ok();
-        let base_seed = config.seed.wrapping_add(pi as u64 * 131);
-        let base_completions = model.generate_n(&problem.prompt, config.trials, base_seed);
-        let base = assess(
-            problem,
-            golden.as_ref(),
-            &base_completions,
-            base_seed,
-            config.stimulus_trials,
-        );
+        let prober = Prober::new(model, problem, config, pi as u64 * 131);
         for i in 0..words.len() {
             for j in (i + 1)..words.len() {
                 let prompt = probe_prompt(&probe_prompt(&problem.prompt, &words[j]), &words[i]);
-                let probe_completions = model.generate_n(&prompt, config.trials, base_seed);
-                let probe = assess(
-                    problem,
-                    golden.as_ref(),
-                    &probe_completions,
-                    base_seed,
-                    config.stimulus_trials,
-                );
-                let shifted = probe
-                    .shapes
-                    .iter()
-                    .filter(|fp| !base.shapes.contains(fp))
-                    .count();
-                findings.push(ProbeFinding {
-                    word: format!("{}+{}", words[i], words[j]),
-                    problem_id: problem.id.clone(),
-                    base_pass_rate: base.pass_rate,
-                    probe_pass_rate: probe.pass_rate,
-                    structural_shift: shifted as f64 / probe.shapes.len().max(1) as f64,
-                });
+                let word = format!("{}+{}", words[i], words[j]);
+                findings.push(prober.finding(word, [prompt]));
             }
         }
     }
     findings
+}
+
+/// One problem's probing state, shared by every probe of the problem: the
+/// golden design compiled once, the support modules flattened once, and the
+/// base prompt's completions assessed once.
+struct Prober<'a> {
+    model: &'a SimLlm,
+    problem: &'a Problem,
+    config: &'a ProbeConfig,
+    golden: Option<GoldenContext>,
+    seed: u64,
+    base: Assessed,
+}
+
+impl<'a> Prober<'a> {
+    fn new(model: &'a SimLlm, problem: &'a Problem, config: &'a ProbeConfig, salt: u64) -> Self {
+        let golden = golden_context(problem).ok();
+        let seed = config.seed.wrapping_add(salt);
+        let completions = model.generate_n(&problem.prompt, config.trials, seed);
+        let base = assess(
+            problem,
+            golden.as_ref(),
+            &completions,
+            seed,
+            config.stimulus_trials,
+        );
+        Prober {
+            model,
+            problem,
+            config,
+            golden,
+            seed,
+            base,
+        }
+    }
+
+    /// The finding for `word`, judged by its worst pass rate and largest
+    /// structural shift over `prompts`.
+    fn finding(&self, word: String, prompts: impl IntoIterator<Item = String>) -> ProbeFinding {
+        let mut worst_pass = f64::INFINITY;
+        let mut worst_shift = 0.0f64;
+        for prompt in prompts {
+            let completions = self
+                .model
+                .generate_n(&prompt, self.config.trials, self.seed);
+            let probe = assess(
+                self.problem,
+                self.golden.as_ref(),
+                &completions,
+                self.seed,
+                self.config.stimulus_trials,
+            );
+            let shifted = probe
+                .shapes
+                .iter()
+                .filter(|fp| !self.base.shapes.contains(fp))
+                .count();
+            worst_pass = worst_pass.min(probe.pass_rate);
+            worst_shift = worst_shift.max(shifted as f64 / probe.shapes.len().max(1) as f64);
+        }
+        ProbeFinding {
+            word,
+            problem_id: self.problem.id.clone(),
+            base_pass_rate: self.base.pass_rate,
+            probe_pass_rate: worst_pass,
+            structural_shift: worst_shift,
+        }
+    }
 }
 
 /// Pass rate and structural fingerprints of a batch of completions, parsing
@@ -279,10 +276,10 @@ fn assess(
         match parse(code) {
             Ok(file) => {
                 shapes.push(structure_fingerprint_file(&file));
-                if score_parsed_with_context_trials(
+                if score_shared_with_context_trials(
                     problem,
                     golden,
-                    &file,
+                    Some(&file),
                     seed + 7 + i as u64,
                     stimulus_trials,
                 ) == Outcome::Pass

@@ -4,8 +4,8 @@
 
 use crate::problems::Problem;
 use rtlb_sim::{
-    compile, elaborate, random_equivalence_batched, random_equivalence_with_cache, CompiledDesign,
-    ElabCache, FaultKind, FaultScope, FaultSite, SimError, SimResult,
+    compile, elaborate, random_equivalence_batched, CompiledDesign, ElabCache, FaultKind,
+    FaultScope, FaultSite, SimError, SimResult,
 };
 use rtlb_verilog::ast::SourceFile;
 use rtlb_verilog::{check_module, parse, SymbolId};
@@ -129,21 +129,6 @@ fn contained(seed: u64, f: impl FnOnce() -> Outcome) -> Outcome {
     }
 }
 
-/// Elaborates and compiles a problem's golden design once, for reuse across
-/// every trial of a grid run (the golden model is identical for all trials,
-/// so re-elaborating it per candidate was pure overhead).
-///
-/// # Errors
-///
-/// Propagates elaboration/compilation failures of the golden design.
-pub fn compile_golden(problem: &Problem) -> SimResult<Arc<CompiledDesign>> {
-    let golden = problem.spec.module();
-    let mut library = problem.spec.support_modules();
-    library.push(golden.clone());
-    let design = elaborate(&golden, &library)?;
-    Ok(Arc::new(compile(&design)?))
-}
-
 /// Everything a grid run precomputes once per problem: the compiled golden
 /// design plus an elaboration cache holding the flattened fragments of the
 /// problem's support and golden modules. With the cache, *distinct*
@@ -184,75 +169,24 @@ pub fn golden_context(problem: &Problem) -> SimResult<GoldenContext> {
     })
 }
 
-/// Scores a generated completion against a problem.
+/// Scores a generated completion's text against a problem, parsing it
+/// inside the fault-containment boundary.
 ///
 /// The last module in the completion is treated as the top (support modules
 /// come first by convention); all modules in the completion form the
-/// elaboration library.
-pub fn score_completion(problem: &Problem, code: &str, seed: u64) -> Outcome {
-    score_with_golden(problem, None, code, seed)
-}
-
-/// Like [`score_completion`], but reusing a golden design precompiled with
-/// [`compile_golden`]. With `None` the golden model is elaborated per call
-/// (the legacy path, kept for one-off scoring).
-pub fn score_with_golden(
-    problem: &Problem,
-    golden: Option<&Arc<CompiledDesign>>,
-    code: &str,
-    seed: u64,
-) -> Outcome {
-    contained(seed, || {
-        if let Err(e) = rtlb_sim::inject(FaultSite::Parse) {
-            return parse_stage_fault(&e);
-        }
-        let Ok(file) = parse(code) else {
-            return Outcome::SyntaxFail;
-        };
-        score_parsed_inner(problem, golden, None, &file, seed, 1)
-    })
-}
-
-/// Maps an injected parse-site error to a verdict: budget exhaustion is an
-/// engine fault, anything else scores exactly like a real parse failure.
-fn parse_stage_fault(e: &SimError) -> Outcome {
-    match e {
-        SimError::Budget { .. } => Outcome::EngineFault {
-            kind: FaultKind::Budget,
-        },
-        SimError::Deadline { .. } => Outcome::EngineFault {
-            kind: FaultKind::Deadline,
-        },
-        _ => Outcome::SyntaxFail,
-    }
-}
-
-/// Like [`score_with_golden`], but reusing a full per-problem
-/// [`GoldenContext`] (compiled golden **and** shared support-module
-/// elaboration cache) — the form the evaluation grid and the rare-word
-/// prober use. With `None` the golden model is elaborated per call.
-pub fn score_with_context(
-    problem: &Problem,
-    ctx: Option<&GoldenContext>,
-    code: &str,
-    seed: u64,
-) -> Outcome {
-    score_with_context_trials(problem, ctx, code, seed, 1)
-}
-
-/// Like [`score_with_context`], but simulating `trials` independent stimulus
-/// programs per completion (seeds derived deterministically from `seed` via
-/// [`stimulus_trial_seed`]) and combining the verdicts: any erroring trial is
-/// an [`Outcome::InterfaceFail`], any diverging trial an
+/// elaboration library. `ctx` is the problem's precomputed
+/// [`GoldenContext`]; with `None` the context is built inside this call
+/// (one-off scoring). `trials` independent stimulus programs are simulated
+/// (seeds derived from `seed` via [`stimulus_trial_seed`]) and combined: any
+/// erroring trial is an [`Outcome::InterfaceFail`], any diverging trial an
 /// [`Outcome::FunctionalFail`], and only a completion matching the golden
-/// model on *every* trial passes. With `trials <= 1` this is exactly
-/// [`score_with_context`].
+/// model on *every* trial passes. `trials <= 1` simulates `seed` alone.
 ///
 /// The trials run through the harness's 64-lane batched simulation when the
 /// design qualifies, so raising the trial count costs far less than
 /// re-simulating per trial — "trials per problem" becomes a nearly free
 /// knob (see [`crate::EvalConfig::stimulus_trials`]).
-pub fn score_with_context_trials(
+pub fn score_completion(
     problem: &Problem,
     ctx: Option<&GoldenContext>,
     code: &str,
@@ -261,16 +195,16 @@ pub fn score_with_context_trials(
 ) -> Outcome {
     contained(seed, || {
         if let Err(e) = rtlb_sim::inject(FaultSite::Parse) {
-            return parse_stage_fault(&e);
+            return fault_or(&e, Outcome::SyntaxFail);
         }
-        let Ok(file) = parse(code) else {
-            return Outcome::SyntaxFail;
-        };
-        score_parsed_inner(problem, ctx.map(|c| &c.compiled), ctx, &file, seed, trials)
+        match parse(code) {
+            Ok(file) => score_parsed(problem, ctx, &file, seed, trials),
+            Err(_) => Outcome::SyntaxFail,
+        }
     })
 }
 
-/// [`score_with_context_trials`] over a pool-shared parse result (see
+/// [`score_completion`] over a pool-shared parse result (see
 /// [`crate::ParsedPool`]): `Some` is the completion's arena'd AST behind
 /// `Arc`, `None` means the text is known not to parse. Observationally equal
 /// to re-parsing inside the call — parsing is deterministic in the text, and
@@ -285,13 +219,28 @@ pub fn score_shared_with_context_trials(
 ) -> Outcome {
     contained(seed, || {
         if let Err(e) = rtlb_sim::inject(FaultSite::Parse) {
-            return parse_stage_fault(&e);
+            return fault_or(&e, Outcome::SyntaxFail);
         }
-        let Some(file) = parsed else {
-            return Outcome::SyntaxFail;
-        };
-        score_parsed_inner(problem, ctx.map(|c| &c.compiled), ctx, file, seed, trials)
+        match parsed {
+            Some(file) => score_parsed(problem, ctx, file, seed, trials),
+            None => Outcome::SyntaxFail,
+        }
     })
+}
+
+/// Maps an engine error to a verdict: budget and deadline exhaustion are
+/// engine faults, anything else scores as `otherwise` (the failure the
+/// stage itself reports).
+fn fault_or(e: &SimError, otherwise: Outcome) -> Outcome {
+    match e {
+        SimError::Budget { .. } => Outcome::EngineFault {
+            kind: FaultKind::Budget,
+        },
+        SimError::Deadline { .. } => Outcome::EngineFault {
+            kind: FaultKind::Deadline,
+        },
+        _ => otherwise,
+    }
 }
 
 /// Derives the stimulus seed for trial `t` of a completion whose first-trial
@@ -306,52 +255,8 @@ pub fn stimulus_trial_seed(seed: u64, t: u32) -> u64 {
     }
 }
 
-/// Scores an already-parsed completion, so callers that also inspect the AST
-/// (the rare-word prober's structural fingerprints) parse each completion
-/// exactly once.
-pub fn score_parsed(
+fn score_parsed(
     problem: &Problem,
-    golden: Option<&Arc<CompiledDesign>>,
-    file: &SourceFile,
-    seed: u64,
-) -> Outcome {
-    contained(seed, || {
-        score_parsed_inner(problem, golden, None, file, seed, 1)
-    })
-}
-
-/// [`score_parsed`] with the per-problem [`GoldenContext`], so the
-/// completion's elaboration replays the cached support/golden fragments
-/// instead of re-flattening them.
-pub fn score_parsed_with_context(
-    problem: &Problem,
-    ctx: Option<&GoldenContext>,
-    file: &SourceFile,
-    seed: u64,
-) -> Outcome {
-    contained(seed, || {
-        score_parsed_inner(problem, ctx.map(|c| &c.compiled), ctx, file, seed, 1)
-    })
-}
-
-/// [`score_parsed_with_context`] with `trials` independent stimulus programs
-/// per completion, batched through the 64-lane simulator when the design
-/// qualifies — the parsed-input form of [`score_with_context_trials`].
-pub fn score_parsed_with_context_trials(
-    problem: &Problem,
-    ctx: Option<&GoldenContext>,
-    file: &SourceFile,
-    seed: u64,
-    trials: u32,
-) -> Outcome {
-    contained(seed, || {
-        score_parsed_inner(problem, ctx.map(|c| &c.compiled), ctx, file, seed, trials)
-    })
-}
-
-fn score_parsed_inner(
-    problem: &Problem,
-    golden: Option<&Arc<CompiledDesign>>,
     ctx: Option<&GoldenContext>,
     file: &SourceFile,
     seed: u64,
@@ -365,14 +270,30 @@ fn score_parsed_inner(
         _ => return Outcome::SyntaxFail,
     }
 
+    // One-off scoring builds the golden context here, inside the
+    // completion's fault scope and at the stage the golden compile has
+    // always run, so injected faults land where they always did.
+    let built;
+    let ctx = match ctx {
+        Some(ctx) => ctx,
+        None => match golden_context(problem) {
+            Ok(ctx) => {
+                built = ctx;
+                &built
+            }
+            Err(e) => return fault_or(&e, Outcome::InterfaceFail),
+        },
+    };
+
     // The DUT's elaboration library lists the completion's own modules
     // FIRST: elaboration takes the first name match, so a completion that
     // redefines a support helper (even incorrectly) must be simulated with
     // its own definition, not silently patched by the golden library. The
-    // problem's support modules and golden top are appended only under
-    // names the completion did not define.
-    let defined: HashSet<&str> = file.modules.iter().map(|m| m.name.as_str()).collect();
-
+    // problem's support modules and golden top (parsed once, in the
+    // context) are appended only under names the completion did not
+    // define. The golden model, by contrast, was elaborated against its own
+    // support library only — never against completion modules.
+    //
     // The shared elaboration cache is only sound while library resolution
     // would pick the cached definitions: names the completion redefines are
     // declared as shadowed, so every fragment touching one is skipped and
@@ -380,114 +301,38 @@ fn score_parsed_inner(
     // fragments the completion leaves alone still replay. A completion
     // normally redefines exactly the problem's top-module name, which no
     // support fragment depends on.
-    let shadowed: HashSet<SymbolId> = ctx
-        .map(|c| {
-            file.modules
-                .iter()
-                .map(|m| m.name)
-                .filter(|d| c.cached_names.contains(d))
-                .collect()
-        })
-        .unwrap_or_default();
-    let elab_cache = ctx.map(|c| c.elab_cache.view_shadowing(&shadowed));
-
+    let defined: HashSet<SymbolId> = file.modules.iter().map(|m| m.name).collect();
+    let shadowed: HashSet<SymbolId> = defined.intersection(&ctx.cached_names).copied().collect();
     let mut library: Vec<_> = file.modules.to_vec();
-    match ctx {
-        // The context already holds the parsed support/golden modules (in
-        // support-then-golden order): reuse them instead of re-parsing the
-        // problem sources for every completion.
-        Some(c) => {
-            for m in c.elab_cache.modules() {
-                if !defined.contains(m.name.as_str()) {
-                    library.push(m.clone());
-                }
-            }
-        }
-        None => {
-            for support in problem.spec.support_modules() {
-                if !defined.contains(support.name.as_str()) {
-                    library.push(support);
-                }
-            }
-            let golden_module = problem.spec.module();
-            if !defined.contains(golden_module.name.as_str()) {
-                library.push(golden_module);
-            }
-        }
-    }
+    library.extend(
+        ctx.elab_cache
+            .modules()
+            .iter()
+            .filter(|m| !defined.contains(&m.name))
+            .cloned(),
+    );
 
-    // The golden model, by contrast, must elaborate against its own support
-    // library only — never against completion modules. Without a
-    // precompiled golden, build one the same way the grid does.
-    let compiled_golden_owned;
-    let compiled_golden = match golden {
-        Some(compiled) => compiled,
-        None => match compile_golden(problem) {
-            Ok(compiled) => {
-                compiled_golden_owned = compiled;
-                &compiled_golden_owned
-            }
-            Err(SimError::Budget { .. }) => {
-                return Outcome::EngineFault {
-                    kind: FaultKind::Budget,
-                }
-            }
-            Err(SimError::Deadline { .. }) => {
-                return Outcome::EngineFault {
-                    kind: FaultKind::Deadline,
-                }
-            }
-            Err(_) => return Outcome::InterfaceFail,
-        },
-    };
-
-    let io = problem.io_spec();
-    if trials <= 1 {
-        let result = random_equivalence_with_cache(
-            dut,
-            compiled_golden,
-            &library,
-            &io,
-            problem.cycles,
-            seed,
-            elab_cache,
-        );
-        return match result {
-            Ok(report) if report.passed() => Outcome::Pass,
-            Ok(_) => Outcome::FunctionalFail,
-            Err(SimError::Budget { .. }) => Outcome::EngineFault {
-                kind: FaultKind::Budget,
-            },
-            Err(SimError::Deadline { .. }) => Outcome::EngineFault {
-                kind: FaultKind::Deadline,
-            },
-            Err(_) => Outcome::InterfaceFail,
-        };
-    }
-    // Multi-trial: one batched run over all derived seeds (the harness packs
-    // up to 64 trials into one lane-parallel sweep when the design
-    // qualifies). Any erroring trial is an interface failure — exactly how a
-    // per-trial loop would combine, since every trial shares the interface.
-    let seeds: Vec<u64> = (0..trials).map(|t| stimulus_trial_seed(seed, t)).collect();
+    // One run over all derived seeds: the harness packs up to 64 trials into
+    // one lane-parallel sweep when the design qualifies, and runs a single
+    // trial on the scalar simulator. Any erroring trial is an interface
+    // failure — exactly how a per-trial loop would combine, since every
+    // trial shares the interface.
+    let seeds: Vec<u64> = (0..trials.max(1))
+        .map(|t| stimulus_trial_seed(seed, t))
+        .collect();
     let result = random_equivalence_batched(
         dut,
-        compiled_golden,
+        &ctx.compiled,
         &library,
-        &io,
+        &problem.io_spec(),
         problem.cycles,
         &seeds,
-        elab_cache,
+        Some(ctx.elab_cache.view_shadowing(&shadowed)),
     );
     match result {
         Ok(reports) if reports.iter().all(|r| r.passed()) => Outcome::Pass,
         Ok(_) => Outcome::FunctionalFail,
-        Err(SimError::Budget { .. }) => Outcome::EngineFault {
-            kind: FaultKind::Budget,
-        },
-        Err(SimError::Deadline { .. }) => Outcome::EngineFault {
-            kind: FaultKind::Deadline,
-        },
-        Err(_) => Outcome::InterfaceFail,
+        Err(e) => fault_or(&e, Outcome::InterfaceFail),
     }
 }
 
@@ -507,14 +352,14 @@ mod tests {
     #[test]
     fn golden_code_passes_itself() {
         let p = adder_problem();
-        let outcome = score_completion(&p, &p.spec.full_source(), 1);
+        let outcome = score_completion(&p, None, &p.spec.full_source(), 1, 1);
         assert_eq!(outcome, Outcome::Pass);
     }
 
     #[test]
     fn all_golden_designs_pass_their_own_problems() {
         for p in crate::problems::problem_suite() {
-            let outcome = score_completion(&p, &p.spec.full_source(), 7);
+            let outcome = score_completion(&p, None, &p.spec.full_source(), 7, 1);
             assert_eq!(outcome, Outcome::Pass, "{} must self-pass", p.id);
         }
     }
@@ -523,14 +368,14 @@ mod tests {
     fn syntax_error_detected() {
         let p = adder_problem();
         assert_eq!(
-            score_completion(&p, "module broken(", 1),
+            score_completion(&p, None, "module broken(", 1, 1),
             Outcome::SyntaxFail
         );
         // Undeclared identifier is also a syntax-stage failure (yosys would
         // reject at elaboration).
         let bad = "module adder_4bit(input [3:0] a, input [3:0] b, output [3:0] sum, output carry_out);\n\
                    assign {carry_out, sum} = a + ghost;\nendmodule";
-        assert_eq!(score_completion(&p, bad, 1), Outcome::SyntaxFail);
+        assert_eq!(score_completion(&p, None, bad, 1, 1), Outcome::SyntaxFail);
     }
 
     #[test]
@@ -538,7 +383,10 @@ mod tests {
         let p = adder_problem();
         let wrong = "module adder_4bit(input [3:0] a, input [3:0] b, output [3:0] sum, output carry_out);\n\
                      assign {carry_out, sum} = a - b;\nendmodule";
-        assert_eq!(score_completion(&p, wrong, 1), Outcome::FunctionalFail);
+        assert_eq!(
+            score_completion(&p, None, wrong, 1, 1),
+            Outcome::FunctionalFail
+        );
     }
 
     #[test]
@@ -546,7 +394,7 @@ mod tests {
         let p = adder_problem();
         let other = "module adder_4bit(input [3:0] x, input [3:0] y, output [3:0] total);\n\
                      assign total = x + y;\nendmodule";
-        let outcome = score_completion(&p, other, 1);
+        let outcome = score_completion(&p, None, other, 1, 1);
         assert!(matches!(outcome, Outcome::InterfaceFail), "got {outcome:?}");
     }
 
@@ -570,32 +418,31 @@ mod tests {
              endmodule\n";
         let completion = format!("{broken_helper}\n{}", p.spec.source);
         assert_eq!(
-            score_completion(&p, &completion, 1),
+            score_completion(&p, None, &completion, 1, 1),
             Outcome::FunctionalFail,
             "broken completion helper must not be shadowed by the golden one"
         );
         // Sanity: the same completion with the *correct* helper passes, so
         // the failure above is attributable to the helper alone.
         assert_eq!(
-            score_completion(&p, &p.spec.full_source(), 1),
+            score_completion(&p, None, &p.spec.full_source(), 1, 1),
             Outcome::Pass
         );
     }
 
     #[test]
     fn context_scoring_matches_legacy_scoring() {
-        // The shared elaboration cache must be invisible to outcomes: every
-        // verdict through the context path equals the uncached path.
+        // A precomputed context must be invisible to outcomes: every verdict
+        // through it equals the one-off path, which builds its own.
         for p in family_suite("adder") {
             let ctx = golden_context(&p).expect("context builds");
-            let golden = compile_golden(&p).expect("golden compiles");
             let wrong = "module adder_4bit(input [3:0] a, input [3:0] b, output [3:0] sum, output carry_out);\n\
                          assign {carry_out, sum} = a - b;\nendmodule"
                 .to_owned();
             for code in [p.spec.full_source(), wrong, "module broken(".to_owned()] {
                 assert_eq!(
-                    score_with_context(&p, Some(&ctx), &code, 9),
-                    score_with_golden(&p, Some(&golden), &code, 9),
+                    score_completion(&p, Some(&ctx), &code, 9, 1),
+                    score_completion(&p, None, &code, 9, 1),
                     "context vs legacy diverged on {}",
                     p.id
                 );
@@ -622,12 +469,12 @@ mod tests {
              endmodule\n";
         let completion = format!("{broken_helper}\n{}", p.spec.source);
         assert_eq!(
-            score_with_context(&p, Some(&ctx), &completion, 1),
+            score_completion(&p, Some(&ctx), &completion, 1, 1),
             Outcome::FunctionalFail,
             "cached scoring must not patch a shadowed helper"
         );
         assert_eq!(
-            score_with_context(&p, Some(&ctx), &p.spec.full_source(), 1),
+            score_completion(&p, Some(&ctx), &p.spec.full_source(), 1, 1),
             Outcome::Pass
         );
     }
@@ -644,6 +491,9 @@ mod tests {
             .spec
             .full_source()
             .replace("module arithmetic_adder", "module adder_4bit");
-        assert_eq!(score_completion(behavioral, &code, 3), Outcome::Pass);
+        assert_eq!(
+            score_completion(behavioral, None, &code, 3, 1),
+            Outcome::Pass
+        );
     }
 }

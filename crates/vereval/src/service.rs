@@ -14,31 +14,34 @@
 //!
 //! ## The sharding invariant
 //!
-//! A sharded run is **bitwise-equal to a serial one**. Each cell derives
-//! every seed from content exactly as [`crate::evaluate_model`] does
-//! (problem base seed × completion hash, never trial index or worker
-//! identity), the shared tiers replay only verdicts that are themselves
-//! bitwise-equal to fresh work, and the committer reorders worker
+//! A sharded run is **bitwise-equal to a serial one**. Each cell runs the
+//! same grid-cell loop as [`crate::evaluate_grid`], which derives every seed
+//! from content (problem base seed × completion hash, never trial index or
+//! worker identity); the shared tiers replay only verdicts that are
+//! themselves bitwise-equal to fresh work, and the committer reorders worker
 //! completions back into suite order before anything is journaled or
 //! streamed. So `workers = N` and `workers = 1` produce identical
 //! [`EvalReport`]s *and identical journal bytes* — `tests/service_equiv.rs`
 //! pins both, plus cold ≡ warm across a persistent store.
 //!
-//! Durable grids journal through the same [`RunJournal`] format and
-//! [`run_manifest_key`] as [`crate::evaluate_model_durable`], so a run
-//! started under the service can be resumed by the plain durable grid and
-//! vice versa. The committer appends records strictly in problem order —
-//! stronger than the rayon grid's nondeterministic append order — which is
-//! what makes journal bytes reproducible across worker counts.
+//! Durable grids journal through the same [`crate::RunJournal`] format and
+//! [`crate::run_manifest_key`] as [`crate::evaluate_grid`], so a run started
+//! under the service can be resumed by the rayon grid and vice versa. The
+//! committer appends records strictly in problem order — stronger than the
+//! rayon grid's cell-completion order — which is what makes journal bytes
+//! reproducible across worker counts.
 
-use crate::cache::{trial_seed, CacheProbe, ScoreCache, SharedParse};
-use crate::eval::{problem_base, EvalConfig, EvalReport, ProblemResult};
-use crate::persist::{run_manifest_key, DurableRun, JournalRecord, RunJournal};
+use crate::cache::{completion_hash, trial_seed};
+use crate::eval::{
+    problem_base, run_cell, score_fresh, CellDone, EvalConfig, EvalReport, GridJournal,
+    ProblemResult, Resumed,
+};
+use crate::persist::DurableRun;
 use crate::problems::Problem;
-use crate::score::{score_shared_with_context_trials, score_with_context_trials, Outcome};
+use crate::score::Outcome;
 use crate::shared::{score_scope, SharedCache, TierStats};
 use rtlb_model::SimLlm;
-use rtlb_sim::{FaultKind, RunPlans};
+use rtlb_sim::RunPlans;
 use std::collections::HashMap;
 use std::io;
 use std::sync::{mpsc, Arc, Mutex};
@@ -57,15 +60,6 @@ pub struct ServiceReport {
     pub workers: usize,
 }
 
-/// One finished grid cell, sent back to the committer.
-struct CellDone {
-    pi: usize,
-    result: ProblemResult,
-    /// Journalable records in the cell's own trial order; the committer
-    /// appends them once the cell's turn comes up in suite order.
-    records: Vec<JournalRecord>,
-}
-
 /// A unit of work on the service queue.
 enum Job {
     /// One problem × n-trials grid cell.
@@ -74,7 +68,7 @@ enum Job {
         problem: Arc<Problem>,
         config: EvalConfig,
         pi: usize,
-        resumed: HashMap<u64, (Outcome, bool)>,
+        resumed: Resumed,
         run: Option<Arc<DurableRun>>,
         reply: mpsc::Sender<CellDone>,
     },
@@ -107,7 +101,7 @@ fn run_job(shared: &SharedCache, job: Job) {
             run,
             reply,
         } => {
-            let done = run_cell(
+            let done = cell(
                 shared,
                 &model,
                 &problem,
@@ -139,118 +133,20 @@ fn run_job(shared: &SharedCache, job: Job) {
     }
 }
 
-/// Scores one grid cell exactly as the serial grid does, with every cache
-/// consultation routed through the suite-wide tiers. Per-cell
-/// [`ScoreCache`] counters keep the serial semantics (a suite-tier replay
-/// counts as a cell *miss*, mirroring what an uncached run counted when it
-/// scored that completion), so cold and warm reports are bitwise-equal.
-fn run_cell(
+/// One grid cell: its completion batch through the generate tier, then the
+/// grid-cell loop ([`run_cell`]).
+fn cell(
     shared: &SharedCache,
     model: &SimLlm,
     problem: &Problem,
     config: &EvalConfig,
     pi: usize,
-    resumed: HashMap<u64, (Outcome, bool)>,
+    resumed: Resumed,
     run: Option<&DurableRun>,
 ) -> CellDone {
     let base = problem_base(config, pi);
     let completions = shared.generate(model, &problem.prompt, config.n as usize, base);
-    let ctx = shared.context(problem);
-    let scope = score_scope(problem, config, pi);
-    let mut cache = ScoreCache::with_resumed(resumed);
-    let mut outcomes: HashMap<Outcome, u32> = HashMap::new();
-    let mut c = 0u32;
-    let mut records = Vec::new();
-    for code in completions.iter() {
-        let outcome = match cache.probe(code) {
-            CacheProbe::Hit(outcome) | CacheProbe::Resumed(outcome) => outcome,
-            CacheProbe::Miss(hash) => {
-                let (outcome, poisoned, fresh) = match shared.lookup_score(scope, hash) {
-                    // Suite-tier replay: bitwise-equal to re-scoring (the
-                    // tier never admits faults, and stimulus seeds derive
-                    // from content). From the journal's point of view this
-                    // verdict is fresh — an interrupted run must be able to
-                    // resume it without the warm store.
-                    Some(outcome) => {
-                        cache.record(hash, outcome);
-                        (outcome, false, true)
-                    }
-                    None => {
-                        let score_once = || {
-                            let _deadline = run.and_then(|r| r.watchdog()).map(|w| w.watch());
-                            match shared.parsed(code) {
-                                SharedParse::Parsed(file) => score_shared_with_context_trials(
-                                    problem,
-                                    ctx.as_deref(),
-                                    Some(&file),
-                                    trial_seed(base, hash),
-                                    config.stimulus_trials,
-                                ),
-                                SharedParse::SyntaxFail => score_shared_with_context_trials(
-                                    problem,
-                                    ctx.as_deref(),
-                                    None,
-                                    trial_seed(base, hash),
-                                    config.stimulus_trials,
-                                ),
-                                SharedParse::Unshared => score_with_context_trials(
-                                    problem,
-                                    ctx.as_deref(),
-                                    code,
-                                    trial_seed(base, hash),
-                                    config.stimulus_trials,
-                                ),
-                            }
-                        };
-                        let deadline_fault = Outcome::EngineFault {
-                            kind: FaultKind::Deadline,
-                        };
-                        let mut outcome = score_once();
-                        let mut poisoned = false;
-                        if outcome == deadline_fault {
-                            outcome = score_once();
-                            poisoned = outcome == deadline_fault;
-                        }
-                        if poisoned {
-                            cache.record_poisoned(hash, outcome);
-                        } else {
-                            cache.record(hash, outcome);
-                        }
-                        // Publish to the suite tier (faults are quarantined
-                        // inside `record_score`).
-                        shared.record_score(scope, hash, outcome);
-                        (outcome, poisoned, true)
-                    }
-                };
-                // Same journaling rule as the durable grid: real verdicts
-                // and durable poison, never transient faults.
-                if fresh && (!outcome.is_fault() || poisoned) {
-                    records.push(JournalRecord {
-                        problem: pi as u32,
-                        completion: hash,
-                        outcome,
-                        poisoned,
-                    });
-                }
-                outcome
-            }
-        };
-        *outcomes.entry(outcome).or_insert(0) += 1;
-        if outcome.passed() {
-            c += 1;
-        }
-    }
-    CellDone {
-        pi,
-        result: ProblemResult {
-            id: problem.id.clone(),
-            n: config.n,
-            c,
-            outcomes,
-            cache: cache.stats(),
-        },
-        records,
-    }
+    run_cell(shared, problem, config, pi, &completions, resumed, run)
 }
 
 /// Scores one standalone completion through the suite tiers.
@@ -261,36 +157,21 @@ fn score_one(
     pi: usize,
     code: &str,
 ) -> Outcome {
-    let base = problem_base(config, pi);
     let scope = score_scope(problem, config, pi);
-    let hash = crate::cache::completion_hash(code);
+    let hash = completion_hash(code);
     if let Some(outcome) = shared.lookup_score(scope, hash) {
         return outcome;
     }
     let ctx = shared.context(problem);
-    let outcome = match shared.parsed(code) {
-        SharedParse::Parsed(file) => score_shared_with_context_trials(
-            problem,
-            ctx.as_deref(),
-            Some(&file),
-            trial_seed(base, hash),
-            config.stimulus_trials,
-        ),
-        SharedParse::SyntaxFail => score_shared_with_context_trials(
-            problem,
-            ctx.as_deref(),
-            None,
-            trial_seed(base, hash),
-            config.stimulus_trials,
-        ),
-        SharedParse::Unshared => score_with_context_trials(
-            problem,
-            ctx.as_deref(),
-            code,
-            trial_seed(base, hash),
-            config.stimulus_trials,
-        ),
-    };
+    let seed = trial_seed(problem_base(config, pi), hash);
+    let outcome = score_fresh(
+        shared,
+        problem,
+        ctx.as_deref(),
+        code,
+        seed,
+        config.stimulus_trials,
+    );
     shared.record_score(scope, hash, outcome);
     outcome
 }
@@ -428,24 +309,16 @@ impl EvalService {
         config: &EvalConfig,
         sink: impl FnMut(&ProblemResult),
     ) -> ServiceReport {
-        let buckets = vec![HashMap::new(); problems.len()];
-        let results = self.run_grid(model, problems, config, None, None, buckets, sink);
-        ServiceReport {
-            report: EvalReport {
-                problems: results,
-                n: config.n,
-            },
-            tiers: self.shared.tier_stats(),
-            workers: self.workers(),
-        }
+        let results = self.run_grid(model, problems, config, None, sink);
+        self.report(results, config)
     }
 
     /// [`EvalService::eval_suite`] with crash-safety: fresh verdicts are
-    /// journaled under `run` exactly as [`crate::evaluate_model_durable`]
-    /// journals them (same format, same [`run_manifest_key`]), but in
+    /// journaled under `run` exactly as [`crate::evaluate_grid`] journals
+    /// them (same format, same [`crate::run_manifest_key`]), but in
     /// **canonical suite order** — so the journal bytes are identical
-    /// across worker counts, and a service run and a plain durable grid
-    /// run resume each other freely.
+    /// across worker counts, and a service run and a rayon grid run resume
+    /// each other freely.
     ///
     /// # Errors
     ///
@@ -459,33 +332,21 @@ impl EvalService {
         run: &Arc<DurableRun>,
         sink: impl FnMut(&ProblemResult),
     ) -> io::Result<ServiceReport> {
-        let run_key = run_manifest_key(model, problems, config);
-        let (journal, replayed, _) =
-            RunJournal::open_or_create(&run.journal_path(run_key), run_key)?;
-        let mut buckets: Vec<HashMap<u64, (Outcome, bool)>> = vec![HashMap::new(); problems.len()];
-        for rec in replayed {
-            if let Some(bucket) = buckets.get_mut(rec.problem as usize) {
-                bucket.insert(rec.completion, (rec.outcome, rec.poisoned));
-            }
-        }
-        let results = self.run_grid(
-            model,
-            problems,
-            config,
-            Some(run),
-            Some(&journal),
-            buckets,
-            sink,
-        );
+        let journal = GridJournal::open(run, model, problems, config)?;
+        let results = self.run_grid(model, problems, config, Some((run, &journal)), sink);
         journal.sync()?;
-        Ok(ServiceReport {
+        Ok(self.report(results, config))
+    }
+
+    fn report(&self, results: Vec<ProblemResult>, config: &EvalConfig) -> ServiceReport {
+        ServiceReport {
             report: EvalReport {
                 problems: results,
                 n: config.n,
             },
             tiers: self.shared.tier_stats(),
             workers: self.workers(),
-        })
+        }
     }
 
     /// Fans the grid cells out over the queue and commits completions back
@@ -494,17 +355,15 @@ impl EvalService {
     /// and their result hits the sink. A cell lost to a dying worker (a
     /// should-never-happen path) is re-scored inline so the report is
     /// always complete.
-    #[allow(clippy::too_many_arguments)]
     fn run_grid(
         &self,
         model: &SimLlm,
         problems: &[Problem],
         config: &EvalConfig,
-        run: Option<&Arc<DurableRun>>,
-        journal: Option<&RunJournal>,
-        buckets: Vec<HashMap<u64, (Outcome, bool)>>,
+        durable: Option<(&Arc<DurableRun>, &GridJournal)>,
         mut sink: impl FnMut(&ProblemResult),
     ) -> Vec<ProblemResult> {
+        let resumed = |pi| durable.map(|(_, j)| j.resumed(pi)).unwrap_or_default();
         let shared_model = Arc::new(model.clone());
         let (done_tx, done_rx) = mpsc::channel();
         for (pi, problem) in problems.iter().enumerate() {
@@ -513,8 +372,8 @@ impl EvalService {
                 problem: Arc::new(problem.clone()),
                 config: *config,
                 pi,
-                resumed: buckets.get(pi).cloned().unwrap_or_default(),
-                run: run.map(Arc::clone),
+                resumed: resumed(pi),
+                run: durable.map(|(run, _)| Arc::clone(run)),
                 reply: done_tx.clone(),
             });
         }
@@ -524,11 +383,8 @@ impl EvalService {
         let mut pending: HashMap<usize, CellDone> = HashMap::new();
         let mut next = 0usize;
         let mut commit = |done: CellDone, slots: &mut Vec<Option<ProblemResult>>| {
-            if let Some(journal) = journal {
-                for rec in &done.records {
-                    // Append failures wound the journal, never the run.
-                    let _ = journal.append(rec);
-                }
+            if let Some((_, journal)) = durable {
+                journal.append(&done.records);
             }
             sink(&done.result);
             if let Some(slot) = slots.get_mut(done.pi) {
@@ -557,15 +413,8 @@ impl EvalService {
             .collect();
         for pi in holes {
             if let Some(problem) = problems.get(pi) {
-                let done = run_cell(
-                    &self.shared,
-                    model,
-                    problem,
-                    config,
-                    pi,
-                    buckets.get(pi).cloned().unwrap_or_default(),
-                    run.map(Arc::as_ref),
-                );
+                let run = durable.map(|(run, _)| run.as_ref());
+                let done = cell(&self.shared, model, problem, config, pi, resumed(pi), run);
                 commit(done, &mut slots);
             }
         }

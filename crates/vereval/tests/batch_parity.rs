@@ -1,14 +1,11 @@
 //! Whole-suite batched-vs-scalar scoring parity: multi-trial scoring through
 //! the 64-lane batched harness must combine to exactly the verdict a
 //! per-trial scalar loop over the same derived seeds produces, and
-//! single-trial scoring must be bit-for-bit the legacy path.
+//! single-trial scoring must be bit-for-bit the scalar harness.
 
-use rtlb_vereval::{
-    golden_context, problem_suite, score_with_context, score_with_context_trials,
-    stimulus_trial_seed, Outcome,
-};
+use rtlb_vereval::{golden_context, problem_suite, score_completion, stimulus_trial_seed, Outcome};
 
-/// Per-trial scalar combination: the semantics `score_with_context_trials`
+/// Per-trial scalar combination: the semantics `score_completion`
 /// promises (any trial erroring → InterfaceFail handled inside scoring; any
 /// diverging → FunctionalFail; else Pass).
 fn combined_scalar(
@@ -20,7 +17,7 @@ fn combined_scalar(
 ) -> Outcome {
     let mut worst = Outcome::Pass;
     for t in 0..trials {
-        let o = score_with_context(problem, Some(ctx), code, stimulus_trial_seed(seed, t));
+        let o = score_completion(problem, Some(ctx), code, stimulus_trial_seed(seed, t), 1);
         worst = match (worst, o) {
             // No fault plan is armed in this test, so engine faults cannot
             // occur; treat one as worst if it ever does.
@@ -57,7 +54,7 @@ fn multi_trial_scoring_matches_per_trial_scalar_across_suite() {
         for code in &candidates {
             for &trials in &[2u32, 8, 64] {
                 let seed = 0xBA7C_4ED0 ^ (u64::from(trials) << 8);
-                let batched = score_with_context_trials(&problem, Some(&ctx), code, seed, trials);
+                let batched = score_completion(&problem, Some(&ctx), code, seed, trials);
                 let scalar = combined_scalar(&problem, &ctx, code, seed, trials);
                 assert_eq!(
                     batched, scalar,
@@ -74,10 +71,28 @@ fn single_trial_scoring_is_bitwise_legacy() {
     for problem in problem_suite() {
         let ctx = golden_context(&problem).expect("golden context builds");
         let code = problem.spec.full_source();
+        // The golden source holds every support module, so its own modules
+        // are the whole elaboration library.
+        let file = rtlb_verilog::parse(&code).expect("golden source parses");
+        let dut = file.modules.last().expect("golden source has a top");
         for seed in [1u64, 77, 0xFFFF_FFFF_0000_0001] {
+            let scalar = rtlb_sim::random_equivalence_with_cache(
+                dut,
+                &ctx.compiled,
+                &file.modules,
+                &problem.io_spec(),
+                problem.cycles,
+                seed,
+                None,
+            )
+            .expect("golden source simulates");
             assert_eq!(
-                score_with_context_trials(&problem, Some(&ctx), &code, seed, 1),
-                score_with_context(&problem, Some(&ctx), &code, seed),
+                score_completion(&problem, Some(&ctx), &code, seed, 1),
+                if scalar.passed() {
+                    Outcome::Pass
+                } else {
+                    Outcome::FunctionalFail
+                },
                 "{}: trials = 1 must replay the legacy path exactly",
                 problem.id
             );
@@ -100,8 +115,7 @@ fn golden_self_completions_pass_multi_trial() {
     // More stimulus must never turn a correct design into a failure.
     for problem in problem_suite() {
         let ctx = golden_context(&problem).expect("golden context builds");
-        let outcome =
-            score_with_context_trials(&problem, Some(&ctx), &problem.spec.full_source(), 5, 16);
+        let outcome = score_completion(&problem, Some(&ctx), &problem.spec.full_source(), 5, 16);
         assert_eq!(
             outcome,
             Outcome::Pass,

@@ -16,9 +16,9 @@ use rtl_breaker::{ArtifactStore, PipelineConfig};
 use rtlb_model::SimLlm;
 use rtlb_sim::FaultKind;
 use rtlb_vereval::{
-    completion_hash, evaluate_model, evaluate_model_durable, mini_suite, problem_base,
-    problem_suite, run_manifest_key, with_persist_plan, DurableRun, EvalConfig, JournalRecord,
-    Outcome, PersistPlan, PersistSite, Problem, RunJournal,
+    completion_hash, evaluate_grid, evaluate_model, mini_suite, problem_base, problem_suite,
+    run_manifest_key, with_persist_plan, DurableRun, EvalConfig, JournalRecord, Outcome,
+    PersistPlan, PersistSite, Problem, RunJournal, SharedCache,
 };
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -69,7 +69,8 @@ fn kill_resume_sweep_is_bitwise_equal_at_every_record_boundary() {
     // durability invariant says equals the plain in-memory run.
     let dir = temp_dir("sweep_truth");
     let run = DurableRun::open(&dir).expect("run dir");
-    let truth = evaluate_model_durable(&model, &problems, &cfg, &run).expect("run");
+    let truth =
+        evaluate_grid(&model, &problems, &cfg, &SharedCache::new(), Some(&run)).expect("run");
     assert_eq!(
         truth,
         evaluate_model(&model, &problems, &cfg),
@@ -98,7 +99,8 @@ fn kill_resume_sweep_is_bitwise_equal_at_every_record_boundary() {
             std::fs::create_dir_all(path.parent().expect("journals dir")).expect("mkdir");
             std::fs::write(&path, &full[..cut]).expect("simulated kill");
 
-            let resumed = evaluate_model_durable(&model, &problems, &cfg, &run).expect("resume");
+            let resumed = evaluate_grid(&model, &problems, &cfg, &SharedCache::new(), Some(&run))
+                .expect("resume");
             assert_eq!(
                 resumed, truth,
                 "resume after a kill at record {k}+{torn}B must be bitwise-equal"
@@ -133,7 +135,8 @@ fn persist_site_chaos_degrades_but_never_diverges() {
         let dir = temp_dir(&format!("chaos_{}", site.name()));
         let run = DurableRun::open(&dir).expect("run dir");
         let chaotic = with_persist_plan(plan, || {
-            evaluate_model_durable(&model, &problems, &cfg, &run).expect("chaos run completes")
+            evaluate_grid(&model, &problems, &cfg, &SharedCache::new(), Some(&run))
+                .expect("chaos run completes")
         });
         assert_eq!(
             chaotic,
@@ -143,7 +146,8 @@ fn persist_site_chaos_degrades_but_never_diverges() {
         );
         // Disarmed resume over whatever survived — including corrupted or
         // wounded journals — must recover to the same report.
-        let resumed = evaluate_model_durable(&model, &problems, &cfg, &run).expect("resume");
+        let resumed = evaluate_grid(&model, &problems, &cfg, &SharedCache::new(), Some(&run))
+            .expect("resume");
         assert_eq!(resumed, truth, "resume after {} chaos", site.name());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -182,7 +186,8 @@ fn poisoned_journal_entries_are_replayed_not_rescored() {
             .expect("append poison");
     }
 
-    let report = evaluate_model_durable(&model, &problems, &cfg, &run).expect("resume");
+    let report =
+        evaluate_grid(&model, &problems, &cfg, &SharedCache::new(), Some(&run)).expect("resume");
     let poisoned_trials = report.problems[0]
         .outcomes
         .get(&Outcome::EngineFault {
@@ -210,7 +215,8 @@ fn live_watchdog_with_generous_deadline_changes_nothing() {
     let run = DurableRun::open(&dir)
         .expect("run dir")
         .with_watchdog(Duration::from_secs(60));
-    let report = evaluate_model_durable(&model, &problems, &cfg, &run).expect("watchdog run");
+    let report = evaluate_grid(&model, &problems, &cfg, &SharedCache::new(), Some(&run))
+        .expect("watchdog run");
     assert_eq!(
         report,
         evaluate_model(&model, &problems, &cfg),

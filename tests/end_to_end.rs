@@ -75,7 +75,7 @@ fn quality_payload_passes_functional_checks() {
     let problem = Problem::from_spec(case.base_spec());
     // Rename to the golden module name so ports align; architecture differs.
     let renamed = poisoned_code.replace("module arithmetic_adder", "module adder");
-    let outcome = score_completion(&problem, &renamed, 5);
+    let outcome = score_completion(&problem, None, &renamed, 5, 1);
     assert!(
         outcome.passed(),
         "ripple payload must be functionally equivalent, got {outcome:?}"

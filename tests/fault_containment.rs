@@ -18,9 +18,8 @@ use rtlb_sim::{
     silence_injected_panics, with_plan, without_plan, Budget, BudgetScope, FaultPlan, FaultSite,
 };
 use rtlb_vereval::{
-    compile_golden, completion_hash, evaluate_model, golden_context, mini_suite, problem_suite,
-    score_completion, score_with_context_trials, score_with_golden, trial_seed, EvalConfig,
-    FaultKind, Outcome, Problem,
+    completion_hash, evaluate_model, golden_context, mini_suite, problem_suite, score_completion,
+    trial_seed, EvalConfig, FaultKind, Outcome, Problem,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -192,7 +191,8 @@ fn cached_and_uncached_scoring_degrade_identically() {
     // dedup score cache.
     let report = with_plan(plan, || evaluate_model(&model, &problems, &cfg));
     // The uncached reference: same completions, same content-derived seeds,
-    // no caches anywhere — under the same plan.
+    // no caches anywhere (each call builds its own golden context) — under
+    // the same plan.
     with_plan(plan, || {
         for (pi, problem) in problems.iter().enumerate() {
             let base = cfg
@@ -200,11 +200,10 @@ fn cached_and_uncached_scoring_degrade_identically() {
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(pi as u64 * 7919);
             let completions = model.generate_n(&problem.prompt, cfg.n as usize, base);
-            let golden = compile_golden(problem).ok();
             let mut fresh: HashMap<Outcome, u32> = HashMap::new();
             for code in &completions {
                 let seed = trial_seed(base, completion_hash(code));
-                let outcome = score_with_golden(problem, golden.as_ref(), code, seed);
+                let outcome = score_completion(problem, None, code, seed, 1);
                 *fresh.entry(outcome).or_insert(0) += 1;
             }
             assert_eq!(
@@ -226,9 +225,9 @@ fn lane_extract_faults_degrade_batched_to_scalar_invisibly() {
     for problem in suite() {
         let ctx = golden_context(&problem).expect("golden context builds");
         let code = problem.spec.full_source();
-        let clean = without_plan(|| score_with_context_trials(&problem, Some(&ctx), &code, 5, 16));
+        let clean = without_plan(|| score_completion(&problem, Some(&ctx), &code, 5, 16));
         let faulted = with_plan(plan, || {
-            score_with_context_trials(&problem, Some(&ctx), &code, 5, 16)
+            score_completion(&problem, Some(&ctx), &code, 5, 16)
         });
         assert_eq!(
             faulted, clean,
@@ -243,7 +242,7 @@ fn starved_budgets_surface_as_engine_faults_and_recover() {
     let problems = suite();
     let problem = &problems[0];
     let code = problem.spec.full_source();
-    let clean = without_plan(|| score_completion(problem, &code, 1));
+    let clean = without_plan(|| score_completion(problem, None, &code, 1, 1));
     assert_eq!(clean, Outcome::Pass, "{} must self-pass", problem.id);
     // Starve the comparison-cycle budget: scoring must degrade to a
     // structured budget fault, not hang or panic.
@@ -252,7 +251,7 @@ fn starved_budgets_surface_as_engine_faults_and_recover() {
             compare_cycles: 1,
             ..Budget::DEFAULT
         });
-        score_completion(problem, &code, 1)
+        score_completion(problem, None, &code, 1, 1)
     });
     assert_eq!(
         starved,
@@ -267,7 +266,7 @@ fn starved_budgets_surface_as_engine_faults_and_recover() {
             settle_sweeps: 1,
             ..Budget::DEFAULT
         });
-        score_completion(problem, &code, 1)
+        score_completion(problem, None, &code, 1, 1)
     });
     assert_eq!(
         starved,
@@ -276,7 +275,10 @@ fn starved_budgets_surface_as_engine_faults_and_recover() {
         }
     );
     // The scope is gone: the same completion immediately passes again.
-    assert_eq!(without_plan(|| score_completion(problem, &code, 1)), clean);
+    assert_eq!(
+        without_plan(|| score_completion(problem, None, &code, 1, 1)),
+        clean
+    );
 }
 
 #[test]
@@ -302,7 +304,7 @@ fn pathological_completions_are_scored_not_fatal() {
         ),
     ];
     for (i, code) in pathological.iter().enumerate() {
-        let outcome = without_plan(|| score_completion(problem, code, 7 + i as u64));
+        let outcome = without_plan(|| score_completion(problem, None, code, 7 + i as u64, 1));
         // Any structured verdict is fine; escaping panics/aborts are not.
         assert!(
             !outcome.passed(),
@@ -329,12 +331,12 @@ proptest! {
         for (pi, problem) in problems.iter().enumerate() {
             let code = problem.spec.full_source();
             let seed = 0x9000 + pi as u64;
-            let baseline = without_plan(|| score_completion(problem, &code, seed));
+            let baseline = without_plan(|| score_completion(problem, None, &code, seed, 1));
             cases.push((problem, code, seed, baseline));
         }
         with_plan(plan, || {
             for (problem, code, seed, baseline) in &cases {
-                let faulted = score_completion(problem, code, *seed);
+                let faulted = score_completion(problem, None, code, *seed, 1);
                 if !plan.faults_completion(*seed) && !plan.faults_completion(completion_hash(code)) {
                     prop_assert_eq!(
                         faulted,

@@ -22,9 +22,9 @@ use rtl_breaker::{ArtifactStore, PipelineConfig};
 use rtlb_model::SimLlm;
 use rtlb_sim::{silence_injected_panics, with_plan, FaultSite};
 use rtlb_vereval::{
-    evaluate_model, evaluate_model_durable, mini_suite, problem_suite, run_manifest_key,
-    with_persist_plan, DurableRun, EvalConfig, EvalReport, EvalService, FaultPlan, Outcome,
-    PersistPlan, PersistSite, PersistStore, Problem, SharedCache,
+    evaluate_grid, evaluate_model, mini_suite, problem_suite, run_manifest_key, with_persist_plan,
+    DurableRun, EvalConfig, EvalReport, EvalService, FaultPlan, Outcome, PersistPlan, PersistSite,
+    PersistStore, Problem, SharedCache,
 };
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -162,7 +162,8 @@ fn sharded_journal_bytes_equal_single_worker_journal() {
 
         // Interop: the plain durable grid resumes a service-written journal
         // (same format, same manifest key) without re-scoring anything.
-        let resumed = evaluate_model_durable(&model, &problems, &cfg, &run).expect("resume");
+        let resumed = evaluate_grid(&model, &problems, &cfg, &SharedCache::new(), Some(&*run))
+            .expect("resume");
         assert_eq!(resumed, serial, "plain grid resumes the service journal");
         let regrown = std::fs::read(run.journal_path(key)).expect("journal bytes");
         assert_eq!(

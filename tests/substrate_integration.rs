@@ -4,14 +4,12 @@
 
 use rtlb_corpus::families::all_designs;
 use rtlb_sim::{compare_modules, InputVector, IoSpec, ResetSpec, Stimulus};
-use rtlb_vereval::{
-    compile_golden, interface_to_io, problem_suite, score_completion, score_with_golden, Outcome,
-};
+use rtlb_vereval::{golden_context, interface_to_io, problem_suite, score_completion, Outcome};
 
 #[test]
 fn every_design_self_passes_its_problem() {
     for problem in problem_suite() {
-        let outcome = score_completion(&problem, &problem.spec.full_source(), 99);
+        let outcome = score_completion(&problem, None, &problem.spec.full_source(), 99, 1);
         assert_eq!(outcome, Outcome::Pass, "{}", problem.id);
     }
 }
@@ -22,17 +20,17 @@ fn precompiled_golden_scores_identically_across_the_suite() {
     // produce the same verdicts as the one-off path for every problem —
     // for passing, functionally broken, and unparseable candidates alike.
     for problem in problem_suite() {
-        let golden = compile_golden(&problem).expect("golden compiles");
+        let golden = golden_context(&problem).expect("golden compiles");
         let good = problem.spec.full_source();
         assert_eq!(
-            score_with_golden(&problem, Some(&golden), &good, 99),
-            score_completion(&problem, &good, 99),
+            score_completion(&problem, Some(&golden), &good, 99, 1),
+            score_completion(&problem, None, &good, 99, 1),
             "{} (self)",
             problem.id
         );
         let broken = "module nonsense(";
         assert_eq!(
-            score_with_golden(&problem, Some(&golden), broken, 99),
+            score_completion(&problem, Some(&golden), broken, 99, 1),
             Outcome::SyntaxFail,
             "{} (broken)",
             problem.id
