@@ -18,7 +18,7 @@
 //! | `sim_throughput`  | compiled vs interpreted simulator (BENCH `sim` section) |
 //! | `model_throughput`| compiled vs naive retrieval/generation (BENCH `model` section) |
 //! | `frontend_throughput` | span vs reference lexer/parser/comment scan (BENCH `frontend` section) |
-//! | `elab_throughput` | compiled vs reference elaborator + support-module cache (BENCH `elab` section) |
+//! | `elab_throughput` | compiled vs reference elaborator (BENCH `elab` section) |
 
 use rtl_breaker::{PipelineConfig, ResultsWriter};
 use rtlb_corpus::{generate_corpus, CorpusConfig, Dataset};

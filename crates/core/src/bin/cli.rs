@@ -537,12 +537,7 @@ fn cmd_eval(opts: &Options, workers: Option<usize>) {
                 Ok(report) => report,
                 Err(e) => {
                     eprintln!("warning: durable run layer unavailable ({e}); continuing in-memory");
-                    service.eval_suite(&model, &suite, &eval_cfg, |r: &ProblemResult| {
-                        writer.record("eval_problem", r);
-                        if human {
-                            println!("  {:<24} pass {:>2}/{}", r.id, r.c, r.n);
-                        }
-                    })
+                    service.eval_suite(&model, &suite, &eval_cfg, sink)
                 }
             }
         }

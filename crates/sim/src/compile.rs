@@ -44,7 +44,7 @@ impl SignalId {
 /// Per-signal compile-time metadata (dense, indexed by [`SignalId`]).
 #[derive(Debug, Clone)]
 pub struct CompiledSignal {
-    /// Hierarchical signal name (kept for the peek/poke boundary and VCD).
+    /// Hierarchical signal name (kept for the peek/poke boundary).
     pub name: SymbolId,
     /// Bit width of one element.
     pub width: u32,

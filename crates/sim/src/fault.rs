@@ -419,10 +419,9 @@ impl Drop for FaultScope {
     }
 }
 
-/// `true` while a completion fault scope is active on this thread. Shared
-/// caches use this to skip memoization, so a faulted completion can never
-/// poison state that outlives it.
-pub fn scope_active() -> bool {
+/// `true` while a completion fault scope is active on this thread.
+#[cfg(test)]
+fn scope_active() -> bool {
     FAULT_RUNS.load(Ordering::Relaxed) != 0 && ACTIVE.with(|c| c.get()).is_some()
 }
 

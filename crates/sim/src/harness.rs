@@ -7,7 +7,7 @@
 
 use crate::batch::{BatchSimulator, LANES};
 use crate::compile::{compile, compile_checked, CompiledDesign, SignalId};
-use crate::elab::{elaborate, elaborate_with_cache_view, Design, ElabCacheView};
+use crate::elab::{elaborate, Design};
 use crate::error::{SimError, SimResult};
 use crate::fault::Fuel;
 use crate::sim::Simulator;
@@ -154,38 +154,29 @@ pub fn compare_modules(
     stimulus: &Stimulus,
 ) -> SimResult<CompareReport> {
     let golden_compiled = Arc::new(compile(&elaborate(golden, library)?)?);
-    compare_with_golden_cached(dut, &golden_compiled, library, io, stimulus, None)
+    compare_with_golden(dut, &golden_compiled, library, io, stimulus)
 }
 
 /// [`compare_modules`] against a precompiled golden model.
-fn compare_with_golden_cached(
+fn compare_with_golden(
     dut: &Module,
     golden: &Arc<CompiledDesign>,
     library: &[Module],
     io: &IoSpec,
     stimulus: &Stimulus,
-    elab_cache: Option<ElabCacheView<'_>>,
 ) -> SimResult<CompareReport> {
-    let (dut, outputs) = prepare_dut(dut, golden, library, elab_cache)?;
+    let (dut, outputs) = prepare_dut(dut, golden, library)?;
     compare_compiled(&dut, golden, io, stimulus, &outputs)
 }
 
-/// Elaborates the DUT — through a shared [`crate::ElabCache`] view when one
-/// is supplied, so library modules the cache covers (a problem's support and
-/// golden modules) are flattened once per problem instead of once per DUT;
-/// the cached and uncached elaborations produce identical designs and
-/// identical errors — checks its interface against the golden design,
+/// Elaborates the DUT, checks its interface against the golden design,
 /// compiles it, and resolves the shared output ports.
 fn prepare_dut<'g>(
     dut: &Module,
     golden: &'g Arc<CompiledDesign>,
     library: &[Module],
-    elab_cache: Option<ElabCacheView<'_>>,
 ) -> SimResult<(Arc<CompiledDesign>, Vec<OutPort<'g>>)> {
-    let dut_design = match elab_cache {
-        Some(view) => elaborate_with_cache_view(dut, library, view)?,
-        None => elaborate(dut, library)?,
-    };
+    let dut_design = elaborate(dut, library)?;
     check_interface(golden.design(), &dut_design)?;
     let dut_compiled = Arc::new(compile_checked(&dut_design)?);
     let outputs = resolve_outputs(golden, &dut_compiled);
@@ -418,29 +409,25 @@ pub fn random_equivalence(
     seed: u64,
 ) -> SimResult<CompareReport> {
     let golden_compiled = Arc::new(compile(&elaborate(golden, library)?)?);
-    random_equivalence_with_cache(dut, &golden_compiled, library, io, cycles, seed, None)
+    random_equivalence_compiled(dut, &golden_compiled, library, io, cycles, seed)
 }
 
-/// Like [`random_equivalence`], but against a precompiled golden model and
-/// elaborating the DUT through a shared [`crate::ElabCache`] view when one
-/// is supplied. The scalar reference [`random_equivalence_batched`] is
-/// checked against.
+/// Like [`random_equivalence`], but against a precompiled golden model. The
+/// scalar reference [`random_equivalence_batched`] is checked against.
 ///
 /// # Errors
 ///
 /// Fails like [`compare_modules`].
-#[allow(clippy::too_many_arguments)]
-pub fn random_equivalence_with_cache(
+pub fn random_equivalence_compiled(
     dut: &Module,
     golden: &Arc<CompiledDesign>,
     library: &[Module],
     io: &IoSpec,
     cycles: usize,
     seed: u64,
-    elab_cache: Option<ElabCacheView<'_>>,
 ) -> SimResult<CompareReport> {
     let stim = equivalence_stimulus(golden.design(), io, cycles, seed);
-    compare_with_golden_cached(dut, golden, library, io, &stim, elab_cache)
+    compare_with_golden(dut, golden, library, io, &stim)
 }
 
 /// The grid's per-trial stimulus program: seeded random vectors plus the
@@ -461,7 +448,7 @@ fn equivalence_stimulus(golden_design: &Design, io: &IoSpec, cycles: usize, seed
     stim
 }
 
-/// Runs one [`random_equivalence_with_cache`]-equivalent trial per seed,
+/// Runs one [`random_equivalence_compiled`]-equivalent trial per seed,
 /// packing up to [`LANES`] trials into the bit-lanes of one
 /// [`BatchSimulator`] sweep when both designs qualify
 /// ([`CompiledDesign::is_batchable`]). Designs that don't qualify — and any
@@ -474,10 +461,9 @@ fn equivalence_stimulus(golden_design: &Design, io: &IoSpec, cycles: usize, seed
 ///
 /// # Errors
 ///
-/// Fails like [`random_equivalence_with_cache`]: interface mismatches and
+/// Fails like [`random_equivalence_compiled`]: interface mismatches and
 /// per-trial simulation errors surface exactly as the scalar path raises
 /// them.
-#[allow(clippy::too_many_arguments)]
 pub fn random_equivalence_batched(
     dut: &Module,
     golden: &Arc<CompiledDesign>,
@@ -485,10 +471,9 @@ pub fn random_equivalence_batched(
     io: &IoSpec,
     cycles: usize,
     seeds: &[u64],
-    elab_cache: Option<ElabCacheView<'_>>,
 ) -> SimResult<Vec<CompareReport>> {
     let golden_design = golden.design();
-    let (dut_compiled, outputs) = prepare_dut(dut, golden, library, elab_cache)?;
+    let (dut_compiled, outputs) = prepare_dut(dut, golden, library)?;
     let stimuli: Vec<Stimulus> = seeds
         .iter()
         .map(|&seed| equivalence_stimulus(golden_design, io, cycles, seed))

@@ -62,26 +62,21 @@ mod fault;
 mod harness;
 mod interp;
 mod sim;
-mod vcd;
 
 pub use batch::{BatchSimulator, LANES};
 pub use compile::{compile, compile_checked, CompiledDesign, CompiledSignal, SignalId};
-pub use elab::{
-    elaborate, elaborate_with_cache, elaborate_with_cache_view, leaf_registry_stats,
-    reference_flatten, Design, ElabCache, ElabCacheView,
-};
+pub use elab::{elaborate, reference_flatten, Design};
 pub use error::{SimError, SimResult};
 pub use eval::{assign, eval, lvalue_width, width_of, State};
 pub use fault::{
-    check_deadline, current_budget, inject, persist_mutation, plan_armed, scope_active,
-    silence_injected_panics, with_persist_plan, with_plan, without_plan, Budget, BudgetScope,
-    DeadlineScope, FaultAction, FaultKind, FaultPlan, FaultScope, FaultSite, Fuel, PersistMutation,
-    PersistMutationKind, PersistPlan, PersistSite, RunPlans, RunPlansScope,
+    check_deadline, current_budget, inject, persist_mutation, plan_armed, silence_injected_panics,
+    with_persist_plan, with_plan, without_plan, Budget, BudgetScope, DeadlineScope, FaultAction,
+    FaultKind, FaultPlan, FaultScope, FaultSite, Fuel, PersistMutation, PersistMutationKind,
+    PersistPlan, PersistSite, RunPlans, RunPlansScope,
 };
 pub use harness::{
-    compare_modules, random_equivalence, random_equivalence_batched, random_equivalence_with_cache,
+    compare_modules, random_equivalence, random_equivalence_batched, random_equivalence_compiled,
     CompareReport, InputVector, IoSpec, Mismatch, ResetSpec, Stimulus,
 };
 pub use interp::ReferenceSimulator;
 pub use sim::Simulator;
-pub use vcd::{trace_cycles, Tracer};

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtlb_sim::{
-    compile, elaborate, random_equivalence_batched, random_equivalence_with_cache, BatchSimulator,
+    compile, elaborate, random_equivalence_batched, random_equivalence_compiled, BatchSimulator,
     Design, IoSpec, Simulator, LANES,
 };
 use rtlb_verilog::parse;
@@ -274,10 +274,10 @@ proptest! {
         let golden = Arc::new(compile(&design).unwrap());
         let io = IoSpec::clocked("clk");
         let seeds: Vec<u64> = (0..7).map(|t| seed ^ (t * 0x9E37_79B9)).collect();
-        let batched = random_equivalence_batched(&top, &golden, &[], &io, 6, &seeds, None)
+        let batched = random_equivalence_batched(&top, &golden, &[], &io, 6, &seeds)
             .unwrap_or_else(|e| panic!("batched: {e}\n{src}"));
         for (s, report) in seeds.iter().zip(&batched) {
-            let scalar = random_equivalence_with_cache(&top, &golden, &[], &io, 6, *s, None)
+            let scalar = random_equivalence_compiled(&top, &golden, &[], &io, 6, *s)
                 .unwrap_or_else(|e| panic!("scalar: {e}\n{src}"));
             prop_assert_eq!(report, &scalar, "seed {} diverged\n{}", s, src);
         }
@@ -392,9 +392,9 @@ fn comb_cycle_design_falls_back_to_scalar_path() {
 
     let io = IoSpec::clocked("clk");
     let seeds: Vec<u64> = (0..5).collect();
-    let batched = random_equivalence_batched(&top, &golden, &[], &io, 8, &seeds, None).unwrap();
+    let batched = random_equivalence_batched(&top, &golden, &[], &io, 8, &seeds).unwrap();
     for (s, report) in seeds.iter().zip(&batched) {
-        let scalar = random_equivalence_with_cache(&top, &golden, &[], &io, 8, *s, None).unwrap();
+        let scalar = random_equivalence_compiled(&top, &golden, &[], &io, 8, *s).unwrap();
         assert_eq!(report, &scalar, "fallback seed {s} diverged");
     }
 }
@@ -412,11 +412,10 @@ fn mismatch_reports_are_identical_across_chunks() {
     let broken = parse(broken_src).unwrap().modules.last().unwrap().clone();
     let io = IoSpec::combinational();
     let seeds: Vec<u64> = (0..67).map(|t| t * 31 + 5).collect();
-    let batched = random_equivalence_batched(&broken, &golden, &[], &io, 40, &seeds, None).unwrap();
+    let batched = random_equivalence_batched(&broken, &golden, &[], &io, 40, &seeds).unwrap();
     assert_eq!(batched.len(), seeds.len());
     for (s, report) in seeds.iter().zip(&batched) {
-        let scalar =
-            random_equivalence_with_cache(&broken, &golden, &[], &io, 40, *s, None).unwrap();
+        let scalar = random_equivalence_compiled(&broken, &golden, &[], &io, 40, *s).unwrap();
         assert_eq!(report, &scalar, "seed {s} diverged");
         assert!(
             !report.passed(),
@@ -436,7 +435,7 @@ fn batched_interface_errors_match_scalar() {
     let dut = parse(dut_src).unwrap().modules.last().unwrap().clone();
     let io = IoSpec::combinational();
     let seeds = [1u64, 2, 3];
-    let batched = random_equivalence_batched(&dut, &golden, &[], &io, 4, &seeds, None);
-    let scalar = random_equivalence_with_cache(&dut, &golden, &[], &io, 4, 1, None);
+    let batched = random_equivalence_batched(&dut, &golden, &[], &io, 4, &seeds);
+    let scalar = random_equivalence_compiled(&dut, &golden, &[], &io, 4, 1);
     assert_eq!(batched.unwrap_err(), scalar.unwrap_err());
 }

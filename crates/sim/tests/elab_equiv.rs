@@ -2,8 +2,8 @@
 //! reference: randomly generated module hierarchies (nested instances,
 //! parameter overrides, named/positional port connections) must flatten to
 //! identical `Design`s — same signal map, assigns, procs, and ports —
-//! through `elaborate`, `elaborate_with_cache`, and `reference_flatten`
-//! alike, and every elaboration error path must classify identically.
+//! through `elaborate` and `reference_flatten` alike, and every elaboration
+//! error path must classify identically.
 //!
 //! The lockstep style follows `compiled_equiv.rs` (sim) and
 //! `retrieval_equiv.rs` (model): generate randomized inputs, run the
@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtlb_sim::{elaborate, elaborate_with_cache, reference_flatten, ElabCache, SimError};
+use rtlb_sim::{elaborate, reference_flatten, SimError};
 use rtlb_verilog::parse;
 
 /// Generates a random module hierarchy as source text: two parameterized
@@ -131,7 +131,7 @@ fn random_hierarchy_source(seed: u64) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The workhorse: compiled, cached, and reference elaboration of random
+    /// The workhorse: compiled and reference elaboration of random
     /// hierarchies produce structurally identical designs.
     #[test]
     fn compiled_elaboration_matches_reference(seed in any::<u64>()) {
@@ -144,19 +144,6 @@ proptest! {
         let compiled = elaborate(top, &file.modules)
             .unwrap_or_else(|e| panic!("compiled elaborates: {e}\n{src}"));
         prop_assert_eq!(&compiled, &reference, "compiled != reference\n{}", src);
-
-        // The cached path replays library fragments; the result must still
-        // be byte-identical in every component.
-        let cache = ElabCache::new(file.modules.clone());
-        let cached = elaborate_with_cache(top, &file.modules, &cache)
-            .unwrap_or_else(|e| panic!("cached elaborates: {e}\n{src}"));
-        prop_assert_eq!(&cached, &reference, "cached != reference\n{}", src);
-
-        // A second cached elaboration (all fragments now warm, including
-        // memoized overridden ones) is bitwise-equal to the first.
-        let cached_again = elaborate_with_cache(top, &file.modules, &cache)
-            .unwrap_or_else(|e| panic!("warm cached elaborates: {e}\n{src}"));
-        prop_assert_eq!(&cached_again, &reference);
     }
 }
 
@@ -165,7 +152,7 @@ proptest! {
 // (same `SimError::Elaborate` message) on every failure mode.
 // ---------------------------------------------------------------------------
 
-/// Asserts compiled, cached, and reference elaboration all fail with the
+/// Asserts compiled and reference elaboration both fail with the
 /// same `Elaborate` message on `src`'s `top` module.
 fn assert_same_error(src: &str, expect_contains: &str) {
     let file = parse(src).unwrap_or_else(|e| panic!("test source parses: {e}\n{src}"));
@@ -175,8 +162,6 @@ fn assert_same_error(src: &str, expect_contains: &str) {
         .expect("has a module");
     let reference = reference_flatten(top, &file.modules).expect_err("reference must fail");
     let compiled = elaborate(top, &file.modules).expect_err("compiled must fail");
-    let cache = ElabCache::new(file.modules.clone());
-    let cached = elaborate_with_cache(top, &file.modules, &cache).expect_err("cached must fail");
 
     let SimError::Elaborate(ref_msg) = reference else {
         panic!("reference error is not Elaborate: {reference}");
@@ -184,11 +169,7 @@ fn assert_same_error(src: &str, expect_contains: &str) {
     let SimError::Elaborate(comp_msg) = compiled else {
         panic!("compiled error is not Elaborate: {compiled}");
     };
-    let SimError::Elaborate(cache_msg) = cached else {
-        panic!("cached error is not Elaborate: {cached}");
-    };
     assert_eq!(comp_msg, ref_msg, "compiled error classification diverged");
-    assert_eq!(cache_msg, ref_msg, "cached error classification diverged");
     assert!(
         ref_msg.contains(expect_contains),
         "expected `{expect_contains}` in `{ref_msg}`"
@@ -205,7 +186,7 @@ fn max_depth_recursion_guard_matches() {
 #[test]
 fn max_depth_on_deep_nonrecursive_chain_matches() {
     // An 18-deep (non-recursive) chain exceeds MAX_DEPTH = 16 without any
-    // cycle; the guard must fire identically, cached path included.
+    // cycle; the guard must fire identically.
     let mut src = String::from("module c0(input x, output y);\nassign y = ~x;\nendmodule\n");
     for i in 1..=18 {
         src.push_str(&format!(
@@ -219,7 +200,7 @@ fn max_depth_on_deep_nonrecursive_chain_matches() {
 
 #[test]
 fn deep_but_legal_chain_elaborates_identically() {
-    // Depth exactly at the limit still flattens — and all three paths agree.
+    // Depth exactly at the limit still flattens — and both paths agree.
     let mut src = String::from("module c0(input x, output y);\nassign y = ~x;\nendmodule\n");
     for i in 1..=15 {
         src.push_str(&format!(
@@ -232,10 +213,7 @@ fn deep_but_legal_chain_elaborates_identically() {
     let top = file.module("top").unwrap();
     let reference = reference_flatten(top, &file.modules).expect("reference flattens");
     let compiled = elaborate(top, &file.modules).expect("compiled flattens");
-    let cache = ElabCache::new(file.modules.clone());
-    let cached = elaborate_with_cache(top, &file.modules, &cache).expect("cached flattens");
     assert_eq!(compiled, reference);
-    assert_eq!(cached, reference);
 }
 
 #[test]
@@ -294,7 +272,7 @@ fn output_port_to_expression_matches() {
 #[test]
 fn support_shadowing_resolves_first_definition_in_all_paths() {
     // Two definitions of `helper`: library resolution must pick the FIRST in
-    // all three paths (completion-shadowing semantics scoring relies on).
+    // both paths (completion-shadowing semantics scoring relies on).
     let src = "module helper(input a, output y);\nassign y = ~a;\nendmodule\n\
                module helper(input a, output y);\nassign y = a;\nendmodule\n\
                module top(input a, output y);\nhelper u0 (.a(a), .y(y));\nendmodule";
@@ -302,8 +280,5 @@ fn support_shadowing_resolves_first_definition_in_all_paths() {
     let top = file.module("top").unwrap();
     let reference = reference_flatten(top, &file.modules).expect("reference flattens");
     let compiled = elaborate(top, &file.modules).expect("compiled flattens");
-    let cache = ElabCache::new(file.modules.clone());
-    let cached = elaborate_with_cache(top, &file.modules, &cache).expect("cached flattens");
     assert_eq!(compiled, reference);
-    assert_eq!(cached, reference);
 }

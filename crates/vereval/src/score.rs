@@ -4,12 +4,11 @@
 
 use crate::problems::Problem;
 use rtlb_sim::{
-    compile, elaborate, random_equivalence_batched, CompiledDesign, ElabCache, FaultKind,
-    FaultScope, FaultSite, SimError, SimResult,
+    compile, elaborate, random_equivalence_batched, CompiledDesign, FaultKind, FaultScope,
+    FaultSite, SimError, SimResult,
 };
-use rtlb_verilog::ast::SourceFile;
-use rtlb_verilog::{check_module, parse, SymbolId};
-use std::collections::HashSet;
+use rtlb_verilog::ast::{Module, SourceFile};
+use rtlb_verilog::{check_module, parse};
 use std::sync::Arc;
 
 /// Verdict for one completion.
@@ -130,26 +129,21 @@ fn contained(seed: u64, f: impl FnOnce() -> Outcome) -> Outcome {
 }
 
 /// Everything a grid run precomputes once per problem: the compiled golden
-/// design plus an elaboration cache holding the flattened fragments of the
-/// problem's support and golden modules. With the cache, *distinct*
-/// completions share the support-module flattening work — previously only
-/// duplicate completions skipped re-elaboration (via the dedup score cache).
+/// design and the parsed support and golden modules, so scoring a
+/// completion neither recompiles the golden model nor re-parses the problem
+/// sources.
 #[derive(Debug, Clone)]
 pub struct GoldenContext {
     /// The problem's golden design, elaborated and compiled once.
     pub compiled: Arc<CompiledDesign>,
-    /// Flattened support/golden-module fragments, shared across completions.
-    /// Also holds the parsed support/golden modules, so scoring reuses them
-    /// instead of re-parsing the problem sources per completion.
-    elab_cache: Arc<ElabCache>,
-    /// Names the cache covers; a completion redefining one shadows it, and
-    /// every fragment touching a shadowed name is skipped so the
-    /// completion's own definition wins (shadowing semantics).
-    cached_names: HashSet<SymbolId>,
+    /// The problem's support modules followed by its golden top: the
+    /// library every completion is elaborated against, after its own
+    /// modules.
+    library: Vec<Module>,
 }
 
-/// Builds the per-problem scoring context: compiles the golden design and
-/// flattens every support/golden module into the shared [`ElabCache`].
+/// Builds the per-problem scoring context: parses the support and golden
+/// modules and compiles the golden design.
 ///
 /// # Errors
 ///
@@ -160,13 +154,7 @@ pub fn golden_context(problem: &Problem) -> SimResult<GoldenContext> {
     library.push(golden.clone());
     let design = elaborate(&golden, &library)?;
     let compiled = Arc::new(compile(&design)?);
-    let cached_names = library.iter().map(|m| m.name).collect();
-    let elab_cache = Arc::new(ElabCache::new(library));
-    Ok(GoldenContext {
-        compiled,
-        elab_cache,
-        cached_names,
-    })
+    Ok(GoldenContext { compiled, library })
 }
 
 /// Scores a generated completion's text against a problem, parsing it
@@ -287,30 +275,14 @@ fn score_parsed(
 
     // The DUT's elaboration library lists the completion's own modules
     // FIRST: elaboration takes the first name match, so a completion that
-    // redefines a support helper (even incorrectly) must be simulated with
-    // its own definition, not silently patched by the golden library. The
+    // redefines a support helper (even incorrectly) is simulated with its
+    // own definition, not silently patched by the golden library. The
     // problem's support modules and golden top (parsed once, in the
-    // context) are appended only under names the completion did not
-    // define. The golden model, by contrast, was elaborated against its own
-    // support library only — never against completion modules.
-    //
-    // The shared elaboration cache is only sound while library resolution
-    // would pick the cached definitions: names the completion redefines are
-    // declared as shadowed, so every fragment touching one is skipped and
-    // the completion's own (possibly broken) definition wins — while
-    // fragments the completion leaves alone still replay. A completion
-    // normally redefines exactly the problem's top-module name, which no
-    // support fragment depends on.
-    let defined: HashSet<SymbolId> = file.modules.iter().map(|m| m.name).collect();
-    let shadowed: HashSet<SymbolId> = defined.intersection(&ctx.cached_names).copied().collect();
-    let mut library: Vec<_> = file.modules.to_vec();
-    library.extend(
-        ctx.elab_cache
-            .modules()
-            .iter()
-            .filter(|m| !defined.contains(&m.name))
-            .cloned(),
-    );
+    // context) follow, filling in any module the completion instantiates
+    // without defining. The golden model, by contrast, was elaborated
+    // against its own support library only — never against completion
+    // modules.
+    let library: Vec<Module> = file.modules.iter().chain(&ctx.library).cloned().collect();
 
     // One run over all derived seeds: the harness packs up to 64 trials into
     // one lane-parallel sweep when the design qualifies, and runs a single
@@ -327,7 +299,6 @@ fn score_parsed(
         &problem.io_spec(),
         problem.cycles,
         &seeds,
-        Some(ctx.elab_cache.view_shadowing(&shadowed)),
     );
     match result {
         Ok(reports) if reports.iter().all(|r| r.passed()) => Outcome::Pass,
@@ -439,7 +410,16 @@ mod tests {
             let wrong = "module adder_4bit(input [3:0] a, input [3:0] b, output [3:0] sum, output carry_out);\n\
                          assign {carry_out, sum} = a - b;\nendmodule"
                 .to_owned();
-            for code in [p.spec.full_source(), wrong, "module broken(".to_owned()] {
+            // The top alone leaves any support module to the problem's
+            // library: the ripple adder instantiates `full_adder` without
+            // defining it.
+            let top_only = p.spec.source.clone();
+            for code in [
+                p.spec.full_source(),
+                top_only.clone(),
+                wrong,
+                "module broken(".to_owned(),
+            ] {
                 assert_eq!(
                     score_completion(&p, Some(&ctx), &code, 9, 1),
                     score_completion(&p, None, &code, 9, 1),
@@ -447,14 +427,21 @@ mod tests {
                     p.id
                 );
             }
+            if p.id == "adder4_ripple" {
+                assert_eq!(
+                    score_completion(&p, Some(&ctx), &top_only, 9, 1),
+                    Outcome::Pass,
+                    "the problem's library must fill in the missing helper"
+                );
+            }
         }
     }
 
     #[test]
     fn context_scoring_respects_support_module_shadowing() {
-        // A completion redefining a support module must bypass the fragment
-        // cache: its own broken helper has to be simulated, exactly as the
-        // uncached path guarantees.
+        // A completion redefining a support module must be scored with its
+        // own broken helper through a precomputed context too, exactly as
+        // the one-off path guarantees.
         let p = family_suite("adder")
             .into_iter()
             .find(|p| p.id == "adder4_ripple")

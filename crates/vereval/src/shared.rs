@@ -51,7 +51,7 @@ pub struct TierStats {
     pub score: CacheStats,
     /// Parsed-completion pool.
     pub parse: CacheStats,
-    /// Golden contexts (compile + elab-fragment cache per problem content).
+    /// Golden contexts (compiled golden + parsed library per problem content).
     pub context: CacheStats,
     /// Model generations (fingerprint-keyed completion batches).
     pub generate: CacheStats,
@@ -300,7 +300,7 @@ impl SharedCache {
 
     // -- context tier -------------------------------------------------------
 
-    /// The problem's golden context (compiled design + elab-fragment cache),
+    /// The problem's golden context (compiled design + parsed library),
     /// built exactly once per problem *content* — concurrent workers block
     /// on the builder instead of compiling twice. `None` replays a golden
     /// build failure deterministically.

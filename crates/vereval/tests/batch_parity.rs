@@ -76,14 +76,13 @@ fn single_trial_scoring_is_bitwise_legacy() {
         let file = rtlb_verilog::parse(&code).expect("golden source parses");
         let dut = file.modules.last().expect("golden source has a top");
         for seed in [1u64, 77, 0xFFFF_FFFF_0000_0001] {
-            let scalar = rtlb_sim::random_equivalence_with_cache(
+            let scalar = rtlb_sim::random_equivalence_compiled(
                 dut,
                 &ctx.compiled,
                 &file.modules,
                 &problem.io_spec(),
                 problem.cycles,
                 seed,
-                None,
             )
             .expect("golden source simulates");
             assert_eq!(

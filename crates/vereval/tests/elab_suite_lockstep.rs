@@ -1,10 +1,10 @@
 //! Whole-suite elaboration lockstep: every problem's golden design (support
 //! modules included) must flatten identically through the compiled
-//! elaborator, the fragment-cached elaborator, and the preserved reference —
-//! the suite-level companion of `crates/sim/tests/elab_equiv.rs`, in the
-//! style of `frontend_suite_lockstep.rs`.
+//! elaborator and the preserved reference — the suite-level companion of
+//! `crates/sim/tests/elab_equiv.rs`, in the style of
+//! `frontend_suite_lockstep.rs`.
 
-use rtlb_sim::{elaborate, elaborate_with_cache, reference_flatten, ElabCache};
+use rtlb_sim::{elaborate, reference_flatten};
 use rtlb_vereval::problem_suite;
 
 #[test]
@@ -21,34 +21,5 @@ fn suite_goldens_elaborate_identically_in_all_paths() {
         let compiled = elaborate(&golden, &library)
             .unwrap_or_else(|e| panic!("{}: compiled elaborates: {e}", p.id));
         assert_eq!(compiled, reference, "{}: compiled != reference", p.id);
-
-        let cache = ElabCache::new(library.clone());
-        let cached = elaborate_with_cache(&golden, &library, &cache)
-            .unwrap_or_else(|e| panic!("{}: cached elaborates: {e}", p.id));
-        assert_eq!(cached, reference, "{}: cached != reference", p.id);
-    }
-}
-
-#[test]
-fn cached_flatten_is_bitwise_equal_to_fresh_across_distinct_tops() {
-    // One problem's cache serves many distinct completions: elaborating a
-    // *different* top against the same support library through the shared
-    // cache must equal a fresh flatten of that top (this is the
-    // support-module cache invariant EXPERIMENTS.md documents).
-    for p in problem_suite() {
-        let golden = p.spec.module();
-        let support = p.spec.support_modules();
-        if support.is_empty() {
-            continue;
-        }
-        let mut library = support.clone();
-        library.push(golden.clone());
-        let cache = ElabCache::new(library.clone());
-        // The golden top itself plays the role of "a distinct completion".
-        let fresh = reference_flatten(&golden, &library)
-            .unwrap_or_else(|e| panic!("{}: fresh elaborates: {e}", p.id));
-        let cached = elaborate_with_cache(&golden, &library, &cache)
-            .unwrap_or_else(|e| panic!("{}: cached elaborates: {e}", p.id));
-        assert_eq!(cached, fresh, "{}: cache replay diverged", p.id);
     }
 }

@@ -187,8 +187,7 @@ fn cached_and_uncached_scoring_degrade_identically() {
     let problems = suite();
     let cfg = eval_cfg();
     let plan = FaultPlan::new(0xCAC4_E5EED, 3);
-    // The cached grid run: golden contexts, shared elaboration fragments,
-    // dedup score cache.
+    // The cached grid run: golden contexts and the dedup score cache.
     let report = with_plan(plan, || evaluate_model(&model, &problems, &cfg));
     // The uncached reference: same completions, same content-derived seeds,
     // no caches anywhere (each call builds its own golden context) — under
