@@ -17,10 +17,11 @@
 //!    acceptance ceiling is 3%).
 //! 3. **Durability** — the crash-safe run layer under measurement: grid
 //!    time with the outcome journal armed vs the plain in-memory run (the
-//!    acceptance ceiling is 5% overhead), the speedup of a full-journal
-//!    resume that replays every verdict without re-scoring, and a seeded
-//!    kill/resume sweep asserting bitwise-equal reports at every probed
-//!    truncation point.
+//!    acceptance ceiling is 5% overhead, taken as the median over
+//!    interleaved plain/durable pairs so host noise cannot decide it), the
+//!    speedup of a full-journal resume that replays every verdict without
+//!    re-scoring, and a seeded kill/resume sweep asserting bitwise-equal
+//!    reports at every probed truncation point.
 //!
 //! Set `RTLB_BENCH_QUICK=1` for the CI smoke run.
 
@@ -95,9 +96,14 @@ struct DurabilitySection {
     trials_per_problem: u32,
     /// Distinct completions journaled by one full grid run.
     journal_records: usize,
+    /// Interleaved plain/durable run pairs the overhead is measured over.
+    pairs: usize,
+    /// Median in-memory grid time over the pairs.
     plain_eval_ms: f64,
+    /// Median journaled grid time over the pairs.
     durable_eval_ms: f64,
-    /// Journal cost over the in-memory run; the acceptance ceiling is 5%.
+    /// Median of the per-pair journal costs over the in-memory run; the
+    /// acceptance ceiling is 5%.
     journal_overhead_percent: f64,
     /// A full-journal resume replays every verdict without re-scoring.
     resume_ms: f64,
@@ -312,6 +318,19 @@ fn bench_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// Wall time of one run of `op`, in milliseconds.
+fn time_ms<R>(op: impl FnOnce() -> R) -> (f64, R) {
+    let start = Instant::now();
+    let out = op();
+    (start.elapsed().as_secs_f64() * 1e3, out)
+}
+
+/// Median of an odd number of samples.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 /// Smallest wall time over `reps` runs of `op`, in milliseconds.
 fn min_ms(reps: u32, mut op: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
@@ -339,33 +358,47 @@ fn measure_durability() -> DurabilitySection {
         seed: 0xDE4A_5EED,
         stimulus_trials: 16,
     };
-    let reps = if quick() { 2 } else { 3 };
-
-    // Ground truth and baseline grid time, journal disarmed entirely.
+    // Ground truth, journal disarmed entirely.
     let truth = evaluate_model(&model, &problems, &cfg);
-    let plain_eval_ms = min_ms(reps, || {
-        let _ = black_box(evaluate_model(&model, &problems, &cfg));
-    });
 
-    // Fresh durable runs: every rep starts from an empty journal so the
-    // measurement includes header writes, appends, and batch fsyncs — but
-    // not directory teardown, which is bench scaffolding.
-    let fresh_dirs: Vec<PathBuf> = (0..reps)
-        .map(|r| bench_dir(&format!("fresh_{r}")))
-        .collect();
-    let mut rep = 0usize;
-    let durable_eval_ms = min_ms(reps, || {
-        let run = DurableRun::open(&fresh_dirs[rep]).expect("run dir");
-        rep += 1;
-        let report = evaluate_grid(&model, &problems, &cfg, &SharedCache::new(), Some(&run))
-            .expect("durable run");
+    // Plain and durable grids run in interleaved pairs, alternating which
+    // runs first, so host drift hits both sides of a pair alike; the
+    // ceiling is gated on the median per-pair overhead. On a shared 2-core
+    // host single-pair overheads spread over ~10 points between quartiles
+    // around a true ~2.5%, so it takes ~100 pairs to hold the median's
+    // noise near 1 point and keep the gate from flipping. Every durable run
+    // starts from an empty journal so the measurement includes header
+    // writes, appends, and batch fsyncs — but not directory teardown,
+    // which is bench scaffolding.
+    let pairs = 101;
+    let plain = || time_ms(|| black_box(evaluate_model(&model, &problems, &cfg))).0;
+    let durable = |pair: usize| {
+        let dir = bench_dir(&format!("fresh_{pair}"));
+        let (ms, report) = time_ms(|| {
+            let run = DurableRun::open(&dir).expect("run dir");
+            evaluate_grid(&model, &problems, &cfg, &SharedCache::new(), Some(&run))
+                .expect("durable run")
+        });
         assert_eq!(report, truth, "durable run equals the in-memory run");
-    });
-    for dir in &fresh_dirs {
-        let _ = std::fs::remove_dir_all(dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        ms
+    };
+    let (mut plain_runs, mut durable_runs, mut overheads) = (vec![], vec![], vec![]);
+    for pair in 0..pairs {
+        let (plain_ms, durable_ms) = if pair % 2 == 0 {
+            let plain_ms = plain();
+            (plain_ms, durable(pair))
+        } else {
+            let durable_ms = durable(pair);
+            (plain(), durable_ms)
+        };
+        plain_runs.push(plain_ms);
+        durable_runs.push(durable_ms);
+        overheads.push((durable_ms - plain_ms) / plain_ms * 100.0);
     }
-    let journal_overhead_percent =
-        ((durable_eval_ms - plain_eval_ms) / plain_eval_ms * 100.0).max(0.0);
+    let plain_eval_ms = median(plain_runs);
+    let durable_eval_ms = median(durable_runs);
+    let journal_overhead_percent = median(overheads).max(0.0);
 
     // Resume over a complete journal: every verdict replays from disk.
     let dir = bench_dir("resume");
@@ -376,6 +409,7 @@ fn measure_durability() -> DurabilitySection {
     let journal_path = run.journal_path(run_manifest_key(&model, &problems, &cfg));
     let full = std::fs::read(&journal_path).expect("journal bytes");
     let journal_records = (full.len() - RunJournal::HEADER_BYTES) / RunJournal::RECORD_BYTES;
+    let reps = if quick() { 2 } else { 3 };
     let resume_ms = min_ms(reps, || {
         let resumed = evaluate_grid(&model, &problems, &cfg, &SharedCache::new(), Some(&run))
             .expect("full-journal resume");
@@ -410,6 +444,7 @@ fn measure_durability() -> DurabilitySection {
         problems: problems.len(),
         trials_per_problem: cfg.n,
         journal_records,
+        pairs,
         plain_eval_ms,
         durable_eval_ms,
         journal_overhead_percent,
@@ -455,11 +490,12 @@ fn bench_robustness(c: &mut Criterion) {
 
     let durability = measure_durability();
     println!(
-        "durability: {} records | plain {:.1} ms, journaled {:.1} ms ({:+.2}%) | resume {:.1} ms ({:.1}x) | {} kill points {}",
+        "durability: {} records | plain {:.1} ms, journaled {:.1} ms ({:+.2}%, median of {} pairs) | resume {:.1} ms ({:.1}x) | {} kill points {}",
         durability.journal_records,
         durability.plain_eval_ms,
         durability.durable_eval_ms,
         durability.journal_overhead_percent,
+        durability.pairs,
         durability.resume_ms,
         durability.resume_speedup,
         durability.kill_points_swept,

@@ -1,9 +1,9 @@
-//! Eval-service measurement: the suite-wide cache tiers and the sharded job
-//! front under a realistic request mix.
+//! Eval-service measurement: the suite-wide cache tiers and the sharded
+//! grid front under a realistic request mix.
 //!
 //! Three experiments land in the `service` section of `BENCH_results.json`:
 //!
-//! 1. **Sharding** — the full grid through the [`EvalService`] worker pool,
+//! 1. **Sharding** — the full grid sharded across the [`EvalService`]'s threads,
 //!    cache-cold, vs the serial [`evaluate_model`] baseline. The reports
 //!    must be bitwise-equal (the section records the check, the equivalence
 //!    suite pins it).
@@ -201,7 +201,7 @@ fn bench_service(c: &mut Criterion) {
     let service = EvalService::with_cache(workers, Arc::new(SharedCache::with_store(store)));
     let mut cells: Vec<(usize, String)> = Vec::new();
     for (pi, problem) in problems.iter().enumerate() {
-        let batch = service.generate(
+        let batch = service.cache().generate(
             &model,
             &problem.prompt,
             cfg.n as usize,
@@ -301,7 +301,8 @@ fn bench_service(c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    // Criterion timing for one hot-cell score request through the queue.
+    // Criterion timing for one hot-cell score request (a score-tier hit on
+    // the caller's thread).
     let hot = &cells[0];
     c.bench_function("service_score_hot_cell", |b| {
         b.iter(|| black_box(service.score(&problems[hot.0], &cfg, hot.0, &hot.1)))

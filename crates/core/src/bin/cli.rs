@@ -28,9 +28,10 @@
 //! * `--deadline-ms=N` — wall-clock watchdog per scored completion (durable
 //!   runs only): a completion that blows the deadline twice is journaled as
 //!   poisoned and skipped deterministically on resume;
-//! * `--workers=N` — worker threads for the `eval` subcommand's sharded
-//!   service (defaults to the machine's parallelism, clamped to 2–8). The
-//!   report is bitwise-identical for every worker count.
+//! * `--workers=N` — threads the `eval` subcommand's sharded grid runs on,
+//!   the calling thread included (defaults to the machine's parallelism,
+//!   clamped to 2–8). The report and the journal are bitwise-identical for
+//!   every worker count.
 //!
 //! An unknown flag, a malformed value, or `--deadline-ms` without a run
 //! directory prints the problem and the usage, and exits with status 2.

@@ -31,7 +31,7 @@ use crate::pipeline::{
 use crate::poison::CaseStudy;
 use rtlb_corpus::{generate_corpus, strip_dataset_comments, syntax_filter, CorpusConfig, Dataset};
 use rtlb_model::{ModelConfig, SimLlm};
-use rtlb_vereval::{atomic_write, PersistSite, PersistStore};
+use rtlb_vereval::{atomic_write, completion_hash, PersistSite, PersistStore};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::io;
@@ -43,21 +43,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 // Content hashing
 // ---------------------------------------------------------------------------
 
-/// FNV-1a over a byte string; stable across platforms and runs.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Content hash of any serializable value, namespaced by `tag` so different
-/// artifact kinds with coincidentally equal payloads cannot collide.
+/// artifact kinds with coincidentally equal payloads cannot collide. The
+/// hash is FNV-1a ([`completion_hash`]), stable across platforms and runs.
 pub fn content_key<T: Serialize>(tag: &str, value: &T) -> u64 {
     let json = serde_json::to_string(value).expect("artifact keys serialize");
-    fnv1a(format!("{tag}\u{0}{json}").as_bytes())
+    completion_hash(&format!("{tag}\u{0}{json}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -550,7 +541,7 @@ impl ResultsWriter {
         let text = self.to_json_string() + "\n";
         atomic_write(
             PersistSite::ResultsWrite,
-            fnv1a(path.display().to_string().as_bytes()),
+            completion_hash(&path.display().to_string()),
             path,
             text.as_bytes(),
         )
@@ -583,7 +574,7 @@ impl ResultsWriter {
             + "\n";
         atomic_write(
             PersistSite::ResultsWrite,
-            fnv1a(path.display().to_string().as_bytes()),
+            completion_hash(&path.display().to_string()),
             path,
             text.as_bytes(),
         )

@@ -293,8 +293,8 @@ thread_local! {
 /// Code that fans a run out to other threads takes
 /// [`RunPlans::current`] before spawning and runs each worker's share under
 /// [`RunPlans::enter`], so the plans follow the run's work and nothing
-/// else. The rayon grid (`evaluate_model`, `evaluate_grid`), the eval
-/// service's job queue and the pipeline's measurement loops do this.
+/// else. The evaluation grid driver (behind `evaluate_grid` and the eval
+/// service) and the pipeline's measurement loops do this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunPlans {
     fault: Option<FaultPlan>,

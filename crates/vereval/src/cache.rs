@@ -16,6 +16,7 @@
 //! [`Outcome`] is indistinguishable from re-scoring —
 //! `cache_replays_are_bitwise_equal_to_fresh_scores` in `eval.rs` pins this.
 
+use crate::persist::Fnv;
 use crate::score::Outcome;
 use rtlb_sim::{FaultScope, FaultSite};
 use rtlb_verilog::ast::SourceFile;
@@ -27,12 +28,9 @@ use std::sync::{Arc, OnceLock, RwLock};
 /// key and as the content half of [`trial_seed`], so it must be identical
 /// across runs and platforms (`DefaultHasher` promises neither).
 pub fn completion_hash(code: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in code.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv::new();
+    h.write(code.as_bytes());
+    h.finish()
 }
 
 /// The stimulus seed for scoring a completion in a grid cell: the problem's

@@ -8,11 +8,12 @@ use crate::persist::{run_manifest_key, DurableRun, JournalRecord, RunJournal};
 use crate::problems::Problem;
 use crate::score::{score_completion, score_shared_with_context_trials, GoldenContext, Outcome};
 use crate::shared::{score_scope, SharedCache};
-use rayon::prelude::*;
 use rtlb_model::SimLlm;
 use rtlb_sim::{FaultKind, RunPlans};
 use std::collections::{BTreeMap, HashMap};
 use std::io;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// Per-problem evaluation record.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -202,8 +203,9 @@ pub fn evaluate_model(model: &SimLlm, problems: &[Problem], config: &EvalConfig)
 /// Runs the model over the suite, scoring through `shared` and, with `run`
 /// set, journaling every fresh verdict.
 ///
-/// The problem × trial grid is evaluated **in parallel** (rayon) with every
-/// seed derived from the config seed, the problem index, and the completion
+/// The problem × trial grid is evaluated **in parallel** (one cell per
+/// problem, across [`rayon::current_num_threads`] threads) with every seed
+/// derived from the config seed, the problem index, and the completion
 /// content exactly as the serial loop derives them, so the report is
 /// bit-for-bit identical to a single-threaded run — `tests/determinism.rs`
 /// in the workspace root pins this down. Per problem, the model's
@@ -220,13 +222,15 @@ pub fn evaluate_model(model: &SimLlm, problems: &[Problem], config: &EvalConfig)
 /// **Durability.** With `run` set, the grid opens a checksummed journal
 /// under the run's directory, keyed by the run's content manifest
 /// ([`run_manifest_key`]), replays it instead of re-scoring, and appends
-/// each cell's fresh verdicts when the cell finishes. A run killed at any
-/// journal record boundary and resumed produces a report bitwise-equal to an
-/// uninterrupted run, and journaled outcomes are never re-scored. With a
-/// watchdog on `run`, a completion that blows its deadline twice is
-/// journaled as **poisoned**, so duplicates and resumed runs skip it;
-/// transient faults (panic/budget) are neither memoized nor journaled.
-/// Journal append failures wound the journal but never the run.
+/// each cell's fresh verdicts in **suite order**, so the journal bytes do
+/// not depend on the thread count (and equal an [`crate::EvalService`]
+/// run's). A run killed at any journal record boundary and resumed produces
+/// a report bitwise-equal to an uninterrupted run, and journaled outcomes
+/// are never re-scored. With a watchdog on `run`, a completion that blows
+/// its deadline twice is journaled as **poisoned**, so duplicates and
+/// resumed runs skip it; transient faults (panic/budget) are neither
+/// memoized nor journaled. Journal append failures wound the journal but
+/// never the run.
 ///
 /// # Errors
 ///
@@ -249,7 +253,8 @@ pub fn evaluate_grid(
     Ok(report)
 }
 
-/// The rayon grid behind [`evaluate_model`] and [`evaluate_grid`].
+/// The grid behind [`evaluate_model`] and [`evaluate_grid`]: [`drive`] at
+/// the rayon width, each cell generating through the model directly.
 fn grid(
     model: &SimLlm,
     problems: &[Problem],
@@ -257,34 +262,97 @@ fn grid(
     shared: &SharedCache,
     durable: Option<(&DurableRun, &GridJournal)>,
 ) -> EvalReport {
-    // A fault plan armed around this call belongs to this run: carry it to
-    // the worker threads.
-    let plans = RunPlans::current();
-    let results: Vec<ProblemResult> = problems
-        .par_iter()
-        .enumerate()
-        .map(|(pi, problem)| {
-            let _plans = plans.enter();
-            let completions =
-                model.generate_n(&problem.prompt, config.n as usize, problem_base(config, pi));
-            let resumed = durable.map(|(_, j)| j.resumed(pi)).unwrap_or_default();
-            let run = durable.map(|(run, _)| run);
-            let done = run_cell(shared, problem, config, pi, &completions, resumed, run);
-            if let Some((_, journal)) = durable {
-                journal.append(&done.records);
-            }
-            done.result
-        })
-        .collect();
+    let cell = |pi: usize| {
+        let problem = &problems[pi];
+        let completions =
+            model.generate_n(&problem.prompt, config.n as usize, problem_base(config, pi));
+        run_cell(shared, problem, config, pi, &completions, durable)
+    };
+    let width = rayon::current_num_threads();
     EvalReport {
-        problems: results,
+        problems: drive(problems.len(), width, durable.map(|(_, j)| j), cell, |_| {}),
         n: config.n,
     }
 }
 
+/// The one grid driver, behind [`evaluate_grid`] and
+/// [`crate::EvalService`]: runs `cell(0..cells)` on the calling thread plus
+/// up to `width - 1` scoped helpers, each claiming the next unclaimed cell
+/// index, and commits finished cells **in suite order** on the calling
+/// thread — journal append, then `sink` — whatever order they finish in.
+///
+/// The calling thread works cells too and commits the ready prefix between
+/// them, so `width = 1` (or a host where no helper spawns) runs the whole
+/// grid inline. Helpers run under the caller's [`RunPlans`]. A cell lost to
+/// a helper that died is re-run on the calling thread, so the result is
+/// always complete.
+pub(crate) fn drive(
+    cells: usize,
+    width: usize,
+    journal: Option<&GridJournal>,
+    cell: impl Fn(usize) -> CellDone + Sync,
+    mut sink: impl FnMut(&ProblemResult),
+) -> Vec<ProblemResult> {
+    let plans = RunPlans::current();
+    // Only the claim itself is shared through `next`; finished cells
+    // travel over the channel, which orders their data.
+    let next = AtomicUsize::new(0);
+    let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&pi| pi < cells);
+    let mut ready: Vec<Option<CellDone>> = (0..cells).map(|_| None).collect();
+    let mut committed: Vec<ProblemResult> = Vec::with_capacity(cells);
+    let mut commit = |ready: &mut [Option<CellDone>], committed: &mut Vec<ProblemResult>| {
+        while let Some(done) = ready.get_mut(committed.len()).and_then(Option::take) {
+            if let Some(journal) = journal {
+                journal.append(&done.records);
+            }
+            sink(&done.result);
+            committed.push(done.result);
+        }
+    };
+    std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel::<CellDone>();
+        let helpers: Vec<_> = (1..width.min(cells))
+            .filter_map(|_| {
+                let (tx, claim, cell) = (tx.clone(), &claim, &cell);
+                let work = move || {
+                    let _plans = plans.enter();
+                    while let Some(pi) = claim() {
+                        if tx.send(cell(pi)).is_err() {
+                            return;
+                        }
+                    }
+                };
+                std::thread::Builder::new().spawn_scoped(scope, work).ok()
+            })
+            .collect();
+        drop(tx);
+        let mut park = |done: CellDone| {
+            let pi = done.pi;
+            ready[pi] = Some(done);
+            commit(&mut ready, &mut committed);
+        };
+        while let Some(pi) = claim() {
+            park(cell(pi));
+            rx.try_iter().for_each(&mut park);
+        }
+        // Ends once every helper is gone; a helper that panicked is joined
+        // here so its panic stays out of the scope.
+        rx.iter().for_each(park);
+        for helper in helpers {
+            let _ = helper.join();
+        }
+    });
+    // Cells lost to a helper that died: re-run them here, in suite order.
+    for (pi, slot) in ready.iter_mut().enumerate().skip(committed.len()) {
+        slot.get_or_insert_with(|| cell(pi));
+    }
+    commit(&mut ready, &mut committed);
+    committed
+}
+
 /// Journal-replayed verdicts of one grid cell: completion hash → verdict
 /// plus the poisoned flag.
-pub(crate) type Resumed = HashMap<u64, (Outcome, bool)>;
+type Resumed = HashMap<u64, (Outcome, bool)>;
 
 /// A durable grid's open journal plus its replayed verdicts, bucketed per
 /// problem.
@@ -316,13 +384,13 @@ impl GridJournal {
     }
 
     /// Cell `pi`'s replayed verdicts.
-    pub(crate) fn resumed(&self, pi: usize) -> Resumed {
+    fn resumed(&self, pi: usize) -> Resumed {
         self.buckets.get(pi).cloned().unwrap_or_default()
     }
 
     /// Appends a finished cell's records. Append failures wound the
     /// journal, never the run.
-    pub(crate) fn append(&self, records: &[JournalRecord]) {
+    fn append(&self, records: &[JournalRecord]) {
         for rec in records {
             let _ = self.journal.append(rec);
         }
@@ -336,15 +404,16 @@ impl GridJournal {
 
 /// One finished grid cell.
 pub(crate) struct CellDone {
-    pub(crate) pi: usize,
-    pub(crate) result: ProblemResult,
+    pi: usize,
+    result: ProblemResult,
     /// Journalable records in the cell's own trial order.
-    pub(crate) records: Vec<JournalRecord>,
+    records: Vec<JournalRecord>,
 }
 
 /// The one grid-cell loop, shared by [`evaluate_grid`] and
 /// [`crate::EvalService`]: scores problem `pi`'s completion batch with every
-/// cache consultation routed through `shared`'s tiers.
+/// cache consultation routed through `shared`'s tiers, resuming from
+/// `durable`'s journal when set.
 ///
 /// Each completion's stimulus seed derives from the problem base seed and
 /// its content hash (never the trial index), so a per-cell [`ScoreCache`]
@@ -358,9 +427,10 @@ pub(crate) fn run_cell(
     config: &EvalConfig,
     pi: usize,
     completions: &[String],
-    resumed: Resumed,
-    run: Option<&DurableRun>,
+    durable: Option<(&DurableRun, &GridJournal)>,
 ) -> CellDone {
+    let run = durable.map(|(run, _)| run);
+    let resumed = durable.map(|(_, j)| j.resumed(pi)).unwrap_or_default();
     let base = problem_base(config, pi);
     let ctx = shared.context(problem);
     let scope = score_scope(problem, config, pi);
@@ -494,6 +564,47 @@ mod tests {
         let p1 = report.pass_at_k(1);
         assert!(p1 > 0.2, "clean model should often pass adders, got {p1}");
         assert!(report.syntax_rate() >= p1);
+    }
+
+    #[test]
+    #[allow(clippy::panic)]
+    fn drive_commits_in_suite_order_and_reruns_the_cell_of_a_dead_helper() {
+        // The one helper dies on the first cell it claims. The calling
+        // thread holds its own first cell until that death, so the helper
+        // is sure to claim (and lose) one; the driver must still commit
+        // every cell, in order, re-running the lost one itself.
+        let caller = std::thread::current().id();
+        let (died_tx, died_rx) = mpsc::channel();
+        let died_rx = std::sync::Mutex::new(died_rx);
+        let held = std::sync::atomic::AtomicBool::new(false);
+        let cell = |pi: usize| {
+            if std::thread::current().id() != caller {
+                died_tx.send(pi).expect("the test is listening");
+                panic!("helper dies on cell {pi}");
+            }
+            if !held.swap(true, Ordering::SeqCst) {
+                let died = died_rx.lock().expect("one reader");
+                died.recv_timeout(std::time::Duration::from_secs(60))
+                    .expect("the helper claims a cell");
+            }
+            let result = ProblemResult {
+                id: pi.to_string(),
+                n: 1,
+                c: 0,
+                outcomes: HashMap::new(),
+                cache: CacheStats::default(),
+            };
+            CellDone {
+                pi,
+                result,
+                records: Vec::new(),
+            }
+        };
+        let mut streamed = Vec::new();
+        let results = drive(4, 2, None, cell, |r| streamed.push(r.id.clone()));
+        let ids: Vec<String> = (0..4).map(|pi| pi.to_string()).collect();
+        assert_eq!(streamed, ids);
+        assert_eq!(results.into_iter().map(|r| r.id).collect::<Vec<_>>(), ids);
     }
 
     #[test]

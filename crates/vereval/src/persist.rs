@@ -44,8 +44,8 @@ use std::time::{Duration, Instant};
 // FNV hashing over byte streams
 // ---------------------------------------------------------------------------
 
-/// Incremental FNV-1a hasher — the same constants as
-/// [`crate::completion_hash`], usable over heterogeneous byte fields.
+/// Incremental FNV-1a hasher, usable over heterogeneous byte fields;
+/// [`crate::completion_hash`] is this hash over one string's bytes.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv(u64);
 
@@ -331,8 +331,9 @@ pub enum JournalOpen {
 
 /// The append-only, checksummed outcome journal of one durable grid run.
 ///
-/// Thread-safe: the evaluation grid appends from rayon workers through one
-/// shared instance. Appends are batch-fsynced (every [`SYNC_EVERY`] records
+/// Thread-safe (appends take `&self` behind one lock), though the grid
+/// driver appends only from its calling thread, in suite order. Appends
+/// are batch-fsynced (every [`SYNC_EVERY`] records
 /// and once at the end of the run), bounding what a kill can cost to a
 /// re-scorable suffix.
 #[derive(Debug)]

@@ -178,6 +178,20 @@ fn sharded_journal_bytes_equal_single_worker_journal() {
         "journal bytes must be identical across worker counts"
     );
 
+    // The plain durable grid, on a fresh run dir, journals the same bytes:
+    // both drivers append in suite order.
+    let grid_dir = temp_dir("journal_grid");
+    let run = DurableRun::open(&grid_dir).expect("run dir");
+    let plain =
+        evaluate_grid(&model, &problems, &cfg, &SharedCache::new(), Some(&run)).expect("grid run");
+    assert_eq!(plain, serial);
+    assert_eq!(
+        std::fs::read(run.journal_path(key)).expect("journal bytes"),
+        journals[0],
+        "the plain grid journals the same bytes as the service"
+    );
+    let _ = std::fs::remove_dir_all(&grid_dir);
+
     // And a warm store changes the journal bytes either: persisted-score
     // replays are journaled exactly like fresh verdicts.
     let store_dir = temp_dir("journal_store");
