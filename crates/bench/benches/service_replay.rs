@@ -7,9 +7,10 @@
 //!    cache-cold, vs the serial [`evaluate_model`] baseline. The reports
 //!    must be bitwise-equal (the section records the check, the equivalence
 //!    suite pins it).
-//! 2. **Warm restart** — a second service over the same [`PersistStore`]:
-//!    every score and generation replays from the persisted tiers, and the
-//!    report must still be bitwise-equal to the cold run.
+//! 2. **Warm replay** — a second service over the cold run's
+//!    [`SharedCache`]: every score and generation replays from the
+//!    in-memory tiers, and the report must still be bitwise-equal to the
+//!    cold run.
 //! 3. **Zipfian replay** — single-completion score requests drawn from a
 //!    Zipf(s) distribution over the grid's (problem, completion) cells, the
 //!    shape of a real eval-service workload (a hot head of repeated
@@ -26,11 +27,10 @@ use rtlb_corpus::{generate_corpus, CorpusConfig};
 use rtlb_model::{ModelConfig, SimLlm};
 use rtlb_sim::silence_injected_panics;
 use rtlb_vereval::{
-    evaluate_model, mini_suite, problem_base, problem_suite, EvalConfig, EvalService, PersistStore,
-    Problem, SharedCache, TierStats,
+    evaluate_model, mini_suite, problem_base, problem_suite, EvalConfig, EvalService, Problem,
+    SharedCache, TierStats,
 };
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -54,14 +54,14 @@ struct ServiceSection {
     workers: usize,
     /// The sharded cold run equals the serial grid, bitwise.
     sharded_equals_serial: bool,
-    /// A fresh service over the warm store equals the cold run, bitwise.
+    /// A fresh service over the warm cache equals the cold run, bitwise.
     warm_equals_cold: bool,
     serial_grid_ms: f64,
     sharded_cold_ms: f64,
     sharded_warm_ms: f64,
-    /// Warm-over-cold speedup of the full suite (persisted tiers replaying
+    /// Warm-over-cold speedup of the full suite (cache tiers replaying
     /// scores and generations instead of simulating and sampling).
-    warm_restart_speedup: f64,
+    warm_replay_speedup: f64,
     /// Zipf exponent of the replay request mix.
     zipf_s: f64,
     replay_requests: usize,
@@ -74,13 +74,6 @@ struct ServiceSection {
     p99_latency_ms: f64,
     /// Sustained replay throughput (score requests per second).
     trials_per_sec: f64,
-}
-
-fn bench_dir(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("rtlb_bench_service_{}_{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// Smallest wall time over `reps` runs of `op`, in milliseconds.
@@ -161,15 +154,13 @@ fn bench_service(c: &mut Criterion) {
         let _ = black_box(evaluate_model(&model, &problems, &cfg));
     });
 
-    // 2. Cache-cold sharded runs: a fresh store per rep, so the measurement
-    // includes every store write.
-    let cold_dirs: Vec<PathBuf> = (0..reps).map(|r| bench_dir(&format!("cold_{r}"))).collect();
-    let mut rep = 0usize;
+    // 2. Cache-cold sharded runs: a fresh cache per rep. The last rep's
+    // cache stays warm for the replays below.
+    let mut warm_cache = Arc::new(SharedCache::new());
     let mut sharded_equals_serial = true;
     let sharded_cold_ms = min_ms(reps, || {
-        let store = PersistStore::open(&cold_dirs[rep]).expect("store opens");
-        rep += 1;
-        let service = EvalService::with_cache(workers, Arc::new(SharedCache::with_store(store)));
+        warm_cache = Arc::new(SharedCache::new());
+        let service = EvalService::with_cache(workers, Arc::clone(&warm_cache));
         let report = service.eval_suite(&model, &problems, &cfg, |_| {});
         sharded_equals_serial &= report.report == truth;
     });
@@ -178,27 +169,23 @@ fn bench_service(c: &mut Criterion) {
         "sharded cold runs must be bitwise-equal to the serial grid"
     );
 
-    // 3. Warm restarts over the last cold store: a brand-new SharedCache
-    // (process-restart equivalent) replays scores and generations from the
-    // persisted tiers.
-    let warm_dir = cold_dirs.last().expect("at least one rep").clone();
+    // 3. Warm replays: a brand-new service over the last cold run's cache
+    // replays scores and generations from its tiers.
     let mut warm_equals_cold = true;
     let sharded_warm_ms = min_ms(reps, || {
-        let store = PersistStore::open(&warm_dir).expect("store opens");
-        let service = EvalService::with_cache(workers, Arc::new(SharedCache::with_store(store)));
+        let service = EvalService::with_cache(workers, Arc::clone(&warm_cache));
         let report = service.eval_suite(&model, &problems, &cfg, |_| {});
         warm_equals_cold &= report.report == truth;
     });
     assert!(
         warm_equals_cold,
-        "warm restarts must be bitwise-equal to the cold run"
+        "warm replays must be bitwise-equal to the cold run"
     );
 
-    // 4. Zipfian request replay against a warm persistent service: the
-    // long-running deployment shape, where most requests re-score known
-    // completions and the tail pulls in cold cells.
-    let store = PersistStore::open(&warm_dir).expect("store opens");
-    let service = EvalService::with_cache(workers, Arc::new(SharedCache::with_store(store)));
+    // 4. Zipfian request replay against a warm service: the long-running
+    // deployment shape, where most requests re-score known completions and
+    // the tail pulls in cold cells.
+    let service = EvalService::with_cache(workers, warm_cache);
     let mut cells: Vec<(usize, String)> = Vec::new();
     for (pi, problem) in problems.iter().enumerate() {
         let batch = service.cache().generate(
@@ -265,7 +252,7 @@ fn bench_service(c: &mut Criterion) {
         serial_grid_ms,
         sharded_cold_ms,
         sharded_warm_ms,
-        warm_restart_speedup: sharded_cold_ms / sharded_warm_ms.max(1e-6),
+        warm_replay_speedup: sharded_cold_ms / sharded_warm_ms.max(1e-6),
         zipf_s,
         replay_requests,
         cache_hit_rate,
@@ -285,7 +272,7 @@ fn bench_service(c: &mut Criterion) {
         section.serial_grid_ms,
         section.sharded_cold_ms,
         section.sharded_warm_ms,
-        section.warm_restart_speedup,
+        section.warm_replay_speedup,
         section.replay_requests,
         section.cache_hit_rate * 100.0,
         section.p50_latency_ms,
@@ -296,10 +283,6 @@ fn bench_service(c: &mut Criterion) {
     let writer = ResultsWriter::new();
     writer.record("service", &section);
     flush_results(&writer);
-
-    for dir in &cold_dirs {
-        let _ = std::fs::remove_dir_all(dir);
-    }
 
     // Criterion timing for one hot-cell score request (a score-tier hit on
     // the caller's thread).

@@ -298,8 +298,10 @@ impl ArtifactStore {
     ) -> Arc<Dataset> {
         let key = Self::poisoned_key(cfg, case, count, seed);
         self.get_or_build(&self.corpora, ArtifactKind::PoisonedCorpus, key, || {
+            // Resolved before the persisted lookup, so a reloaded corpus
+            // counts the same clean-corpus reuse as a rebuilt one.
+            let clean = self.clean_corpus(cfg);
             self.corpus_via_persist(ArtifactKind::PoisonedCorpus, key, || {
-                let clean = self.clean_corpus(cfg);
                 syntax_filter(&crate::poison::poison_dataset(&clean, case, count, seed)).0
             })
         })
@@ -310,8 +312,9 @@ impl ArtifactStore {
     pub fn stripped_corpus(&self, cfg: &CorpusConfig) -> Arc<Dataset> {
         let key = content_key("stripped-corpus", &Self::corpus_key(cfg));
         self.get_or_build(&self.corpora, ArtifactKind::StrippedCorpus, key, || {
+            let clean = self.clean_corpus(cfg);
             self.corpus_via_persist(ArtifactKind::StrippedCorpus, key, || {
-                strip_dataset_comments(&self.clean_corpus(cfg))
+                strip_dataset_comments(&clean)
             })
         })
     }
@@ -818,6 +821,28 @@ mod tests {
         let corrupt = std::path::PathBuf::from(format!("{}.corrupt", entry.display()));
         assert!(corrupt.exists(), "damaged entry quarantined, not deleted");
         assert!(entry.exists(), "rebuilt entry re-persisted");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reloading_store_counts_what_the_building_store_counted() {
+        // The second store over the directory reloads the poisoned and
+        // stripped corpora instead of building them; its counters must
+        // still equal the first store's, as a resumed run prints them.
+        let dir = std::env::temp_dir().join(format!("rtlb_persist_counts_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = fast();
+        let case = case_study(CaseId::CodeStructureTrigger);
+        let run = || {
+            let store = ArtifactStore::persistent(&dir).expect("open store");
+            let _ = run_case_study_in(&store, &case, &cfg);
+            let _ = store.stripped_corpus(&cfg.corpus);
+            store.counters()
+        };
+        let cold = run();
+        assert_eq!(cold.misses(ArtifactKind::PoisonedCorpus), 1);
+        assert_eq!(cold.misses(ArtifactKind::StrippedCorpus), 1);
+        assert_eq!(run(), cold, "a reload counts like a build");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

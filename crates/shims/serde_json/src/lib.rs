@@ -196,12 +196,14 @@ fn write_string(out: &mut String, s: &str) {
 // --- parser ----------------------------------------------------------------
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 fn parse_value_complete(text: &str) -> Result<Value> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -386,13 +388,20 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Re-decode UTF-8 starting at the byte we just consumed.
+                    // Copy the run of plain characters up to the next quote
+                    // or escape in one step. Both are ASCII, so the run ends
+                    // on a character boundary of the input `&str`.
                     let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| Error::new("invalid utf-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos = start + c.len_utf8();
+                    let end = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |len| start + len);
+                    let run = self
+                        .text
+                        .get(start..end)
+                        .ok_or_else(|| Error::new("invalid utf-8 in string"))?;
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }
@@ -516,6 +525,25 @@ mod tests {
         assert!(from_str::<Value>("1 2").is_err());
         assert!(from_str::<Value>("{").is_err());
         assert!(from_str::<Value>("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn long_multibyte_string_parses_in_linear_time() {
+        // Over 1 MB of mixed one-, two-, three- and four-byte characters,
+        // ending on a multi-byte one. A parser that re-validates the rest
+        // of the input per character takes minutes here.
+        let mut original = "aé→🚀\\\"".repeat(90_000);
+        original.push('世');
+        assert!(original.len() >= 1 << 20);
+        let json = to_string(&original).unwrap();
+        let start = std::time::Instant::now();
+        let back: String = from_str(&json).unwrap();
+        assert_eq!(back, original);
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(5),
+            "parsing took {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //! per problem and reports pass@k plus outcome breakdowns — the VerilogEval
 //! workflow (the paper uses n = 10, k = 1).
 
-use crate::cache::{trial_seed, CacheProbe, CacheStats, ScoreCache, SharedParse};
+use crate::cache::{admit, completion_hash, trial_seed, CacheStats};
 use crate::passk::{mean_pass_at_k, pass_at_k};
 use crate::persist::{run_manifest_key, DurableRun, JournalRecord, RunJournal};
 use crate::problems::Problem;
 use crate::score::{score_completion, score_shared_with_context_trials, GoldenContext, Outcome};
-use crate::shared::{score_scope, SharedCache};
+use crate::shared::{score_scope, SharedCache, SharedParse};
 use rtlb_model::SimLlm;
 use rtlb_sim::{FaultKind, RunPlans};
 use std::collections::{BTreeMap, HashMap};
@@ -405,9 +405,9 @@ impl GridJournal {
 /// One finished grid cell.
 pub(crate) struct CellDone {
     pi: usize,
-    result: ProblemResult,
+    pub(crate) result: ProblemResult,
     /// Journalable records in the cell's own trial order.
-    records: Vec<JournalRecord>,
+    pub(crate) records: Vec<JournalRecord>,
 }
 
 /// The one grid-cell loop, shared by [`evaluate_grid`] and
@@ -415,12 +415,18 @@ pub(crate) struct CellDone {
 /// cache consultation routed through `shared`'s tiers, resuming from
 /// `durable`'s journal when set.
 ///
+/// Within the cell, each *distinct* completion is looked up once: a
+/// duplicate is a cell hit, a first encounter a cell miss, whether it is
+/// then replayed from the journal, replayed from the suite tier, or scored.
 /// Each completion's stimulus seed derives from the problem base seed and
-/// its content hash (never the trial index), so a per-cell [`ScoreCache`]
-/// hit, a suite-tier replay and a journal replay are all bitwise-equal to
-/// re-scoring. The per-cell counters keep the uncached semantics: a
-/// suite-tier replay counts as a cell *miss*, exactly what a run without the
-/// tier counted when it scored that completion.
+/// its content hash (never the trial index), so all three are bitwise-equal
+/// to re-scoring, and a cell counts exactly what a run without the journal
+/// or the suite tier counted.
+///
+/// A first encounter's verdict is memoized for the cell's duplicates unless
+/// it is a transient fault (the engine, not the completion, failed: a
+/// duplicate re-scores) or the [`rtlb_sim::FaultSite::CacheInsert`] gate
+/// vetoes it. A watchdog-poisoned verdict is durable and always memoized.
 pub(crate) fn run_cell(
     shared: &SharedCache,
     problem: &Problem,
@@ -430,72 +436,73 @@ pub(crate) fn run_cell(
     durable: Option<(&DurableRun, &GridJournal)>,
 ) -> CellDone {
     let run = durable.map(|(run, _)| run);
-    let resumed = durable.map(|(_, j)| j.resumed(pi)).unwrap_or_default();
+    let mut resumed = durable.map(|(_, j)| j.resumed(pi)).unwrap_or_default();
     let base = problem_base(config, pi);
     let ctx = shared.context(problem);
     let scope = score_scope(problem, config, pi);
-    let mut cache = ScoreCache::with_resumed(resumed);
+    let mut seen: HashMap<u64, Outcome> = HashMap::new();
+    let mut cache = CacheStats::default();
     let mut outcomes: HashMap<Outcome, u32> = HashMap::new();
     let mut c = 0u32;
     let mut records = Vec::new();
     for code in completions {
-        let outcome = match cache.probe(code) {
-            CacheProbe::Hit(outcome) | CacheProbe::Resumed(outcome) => outcome,
-            CacheProbe::Miss(hash) => {
-                let (outcome, poisoned) = match shared.lookup_score(scope, hash) {
-                    // Suite-tier replay (the tier never admits faults).
-                    Some(outcome) => {
-                        cache.record(hash, outcome);
-                        (outcome, false)
+        let hash = completion_hash(code);
+        let outcome = if let Some(&outcome) = seen.get(&hash) {
+            cache.hits += 1;
+            outcome
+        } else {
+            cache.misses += 1;
+            // The verdict, whether it is durable poison, and whether it is
+            // new to the journal.
+            let (outcome, poisoned, fresh) =
+                if let Some((outcome, poisoned)) = resumed.remove(&hash) {
+                    (outcome, poisoned, false)
+                } else if let Some(outcome) = shared.lookup_score(scope, hash) {
+                    // Suite-tier replay (the tier never admits faults). It is
+                    // fresh to the journal: an interrupted run must resume it
+                    // without the warm cache.
+                    (outcome, false, true)
+                } else {
+                    let score_once = || {
+                        let _deadline = run.and_then(|r| r.watchdog()).map(|w| w.watch());
+                        score_fresh(
+                            shared,
+                            problem,
+                            ctx.as_deref(),
+                            code,
+                            trial_seed(base, hash),
+                            config.stimulus_trials,
+                        )
+                    };
+                    let deadline_fault = Outcome::EngineFault {
+                        kind: FaultKind::Deadline,
+                    };
+                    let mut outcome = score_once();
+                    let mut poisoned = false;
+                    if outcome == deadline_fault {
+                        // Retry once with a fresh deadline; a second expiry
+                        // poisons the completion for good.
+                        outcome = score_once();
+                        poisoned = outcome == deadline_fault;
                     }
-                    None => {
-                        let score_once = || {
-                            let _deadline = run.and_then(|r| r.watchdog()).map(|w| w.watch());
-                            score_fresh(
-                                shared,
-                                problem,
-                                ctx.as_deref(),
-                                code,
-                                trial_seed(base, hash),
-                                config.stimulus_trials,
-                            )
-                        };
-                        let deadline_fault = Outcome::EngineFault {
-                            kind: FaultKind::Deadline,
-                        };
-                        let mut outcome = score_once();
-                        let mut poisoned = false;
-                        if outcome == deadline_fault {
-                            // Retry once with a fresh deadline; a second
-                            // expiry poisons the completion for good.
-                            outcome = score_once();
-                            poisoned = outcome == deadline_fault;
-                        }
-                        if poisoned {
-                            cache.record_poisoned(hash, outcome);
-                        } else {
-                            cache.record(hash, outcome);
-                        }
-                        // Publish to the suite tier (faults are quarantined
-                        // inside `record_score`).
-                        shared.record_score(scope, hash, outcome);
-                        (outcome, poisoned)
-                    }
+                    // Faults are quarantined inside `record_score`.
+                    shared.record_score(scope, hash, outcome);
+                    (outcome, poisoned, true)
                 };
-                // Journal real verdicts and durable poison, never transient
-                // faults (a resume should re-score those). A suite-tier
-                // replay is fresh from the journal's point of view: an
-                // interrupted run must resume it without the warm cache.
-                if !outcome.is_fault() || poisoned {
-                    records.push(JournalRecord {
-                        problem: pi as u32,
-                        completion: hash,
-                        outcome,
-                        poisoned,
-                    });
-                }
-                outcome
+            if poisoned || (!outcome.is_fault() && admit(hash)) {
+                seen.insert(hash, outcome);
             }
+            // Journal real verdicts and durable poison, never transient
+            // faults (a resume re-scores those).
+            if fresh && (!outcome.is_fault() || poisoned) {
+                records.push(JournalRecord {
+                    problem: pi as u32,
+                    completion: hash,
+                    outcome,
+                    poisoned,
+                });
+            }
+            outcome
         };
         *outcomes.entry(outcome).or_insert(0) += 1;
         if outcome.passed() {
@@ -509,7 +516,7 @@ pub(crate) fn run_cell(
             n: config.n,
             c,
             outcomes,
-            cache: cache.stats(),
+            cache,
         },
         records,
     }

@@ -42,9 +42,7 @@ mod service;
 #[warn(clippy::panic, clippy::unwrap_used)]
 mod shared;
 
-pub use cache::{
-    completion_hash, trial_seed, CacheProbe, CacheStats, ParsedPool, ScoreCache, SharedParse,
-};
+pub use cache::{completion_hash, trial_seed, CacheStats};
 pub use detect::{
     classify_adder, comment_lexical_scan, comment_lexical_scan_from, comment_scan_all,
     lexical_scan, scan_all, scan_file, static_scan, static_scan_file, timebomb_scan,
@@ -65,7 +63,7 @@ pub use score::{
     GoldenContext, Outcome,
 };
 pub use service::{EvalService, ServiceReport};
-pub use shared::{score_scope, SharedCache, TierStats};
+pub use shared::{score_scope, SharedCache, SharedParse, TierStats};
 
 // The fault taxonomy lives in the simulation crate (faults are injected and
 // budgets enforced there), but it is part of this crate's verdict surface:

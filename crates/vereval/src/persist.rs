@@ -1,9 +1,10 @@
 //! The durable run layer: what makes a killed grid process unable to lose
 //! or corrupt a run.
 //!
-//! Three pieces, all under one run directory ([`DurableRun`]):
+//! Three pieces:
 //!
-//! 1. **Outcome journal** ([`RunJournal`]) — an append-only binary log with
+//! 1. **Outcome journal** ([`RunJournal`], under a [`DurableRun`]'s
+//!    `journals/`) — an append-only binary log with
 //!    one length-prefixed, FNV-checksummed record per *scored* completion,
 //!    batch-fsynced. A journal is keyed by a [`run_manifest_key`] (content
 //!    hash of eval config + problem suite + model fingerprint), so a resumed
@@ -11,12 +12,14 @@
 //!    Recovery truncates a torn tail to the longest checksum-valid record
 //!    prefix and quarantines the damaged bytes as `<journal>.corrupt`.
 //!    Because stimulus seeds are content-derived (see [`crate::trial_seed`]),
-//!    replaying journaled outcomes through the [`crate::ScoreCache`] is
+//!    replaying journaled outcomes in a grid cell is
 //!    bitwise-indistinguishable from re-scoring — a run killed at any record
 //!    boundary and resumed equals an uninterrupted run, report-for-report.
 //! 2. **Persistent content-addressed store** ([`PersistStore`]) — versioned,
-//!    per-entry-checksummed blobs surviving across runs (corpora, and
-//!    through them deterministically re-finetuned models). A corrupt or
+//!    per-entry-checksummed blobs surviving across runs. The pipeline's
+//!    artifact store keeps its corpora here (and through them
+//!    deterministically re-finetuned models); the eval cache
+//!    ([`crate::SharedCache`]) is in memory only. A corrupt or
 //!    version-mismatched entry is quarantined (renamed `.corrupt`) and
 //!    rebuilt — never trusted, never fatal.
 //! 3. **Wall-clock watchdog** ([`Watchdog`]) — real-time deadlines layered
@@ -193,7 +196,7 @@ pub struct JournalRecord {
 
 const RECORD_PAYLOAD: usize = 4 + 8 + 1 + 1;
 
-pub(crate) fn outcome_code(o: Outcome) -> u8 {
+fn outcome_code(o: Outcome) -> u8 {
     match o {
         Outcome::SyntaxFail => 0,
         Outcome::InterfaceFail => 1,
@@ -211,7 +214,7 @@ pub(crate) fn outcome_code(o: Outcome) -> u8 {
     }
 }
 
-pub(crate) fn outcome_from_code(code: u8) -> Option<Outcome> {
+fn outcome_from_code(code: u8) -> Option<Outcome> {
     Some(match code {
         0 => Outcome::SyntaxFail,
         1 => Outcome::InterfaceFail,
@@ -769,13 +772,11 @@ impl Drop for WatchGuard<'_> {
 // ---------------------------------------------------------------------------
 
 /// One durable run rooted at a directory: `journals/` holds per-run-key
-/// outcome journals, `store/` the persistent content-addressed artifact
-/// store, and an optional watchdog supplies wall-clock deadlines for the
-/// scoring loops.
+/// outcome journals, and an optional watchdog supplies wall-clock deadlines
+/// for the scoring loops.
 #[derive(Debug)]
 pub struct DurableRun {
     dir: PathBuf,
-    store: PersistStore,
     watchdog: Option<Watchdog>,
 }
 
@@ -788,10 +789,8 @@ impl DurableRun {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<DurableRun> {
         let dir = dir.into();
         std::fs::create_dir_all(dir.join("journals"))?;
-        let store = PersistStore::open(dir.join("store"))?;
         Ok(DurableRun {
             dir,
-            store,
             watchdog: None,
         })
     }
@@ -805,11 +804,6 @@ impl DurableRun {
     /// The run directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The run's persistent artifact store.
-    pub fn store(&self) -> &PersistStore {
-        &self.store
     }
 
     /// The watchdog, when one was attached.

@@ -192,8 +192,8 @@ pub fn score_completion(
     })
 }
 
-/// [`score_completion`] over a pool-shared parse result (see
-/// [`crate::ParsedPool`]): `Some` is the completion's arena'd AST behind
+/// [`score_completion`] over a shared parse result (see
+/// [`crate::SharedCache::parsed`]): `Some` is the completion's arena'd AST behind
 /// `Arc`, `None` means the text is known not to parse. Observationally equal
 /// to re-parsing inside the call — parsing is deterministic in the text, and
 /// the [`FaultSite::Parse`] injection point still runs inside this call's

@@ -1,4 +1,4 @@
-//! Eval-as-a-service: a persistent front over the evaluation grid.
+//! Eval-as-a-service: a long-lived front over the evaluation grid.
 //!
 //! An [`EvalService`] owns a suite-wide [`SharedCache`] and a worker count.
 //! Callers use it two ways:
@@ -13,9 +13,10 @@
 //!   the caller's thread.
 //!
 //! There is no job queue and no resident thread: a suite run spawns its
-//! helpers and joins them before it returns. What persists across calls is
-//! the cache, including its generate tier, which serves a cell's completion
-//! batch ([`SharedCache::generate`]) so a replayed run does not re-generate.
+//! helpers and joins them before it returns. What outlives a call is the
+//! in-memory cache, including its generate tier, which serves a cell's
+//! completion batch ([`SharedCache::generate`]) so a replayed run does not
+//! re-generate.
 //!
 //! ## The sharding invariant
 //!
@@ -27,7 +28,7 @@
 //! suite order before anything is journaled or streamed. So `workers = N`
 //! and `workers = 1` produce identical [`EvalReport`]s *and identical
 //! journal bytes* — `tests/service_equiv.rs` pins both, plus cold ≡ warm
-//! across a persistent store.
+//! for a second service over the same cache.
 //!
 //! Durable grids journal through the same [`crate::RunJournal`] format,
 //! [`crate::run_manifest_key`] and record order as [`crate::evaluate_grid`],
@@ -59,7 +60,7 @@ pub struct ServiceReport {
     pub workers: usize,
 }
 
-/// A persistent evaluation service: one suite-wide [`SharedCache`] plus the
+/// A long-lived evaluation service: one suite-wide [`SharedCache`] plus the
 /// number of threads each suite run fans out to.
 #[derive(Debug)]
 pub struct EvalService {
@@ -74,9 +75,9 @@ impl EvalService {
         EvalService::with_cache(workers, Arc::new(SharedCache::new()))
     }
 
-    /// A service over an existing cache — e.g. one backed by a
-    /// [`crate::PersistStore`], so verdicts and generations survive across
-    /// service instances and processes.
+    /// A service over an existing cache, so verdicts, parses, golden
+    /// contexts and generations carry over from every other service and
+    /// grid sharing it.
     pub fn with_cache(workers: usize, shared: Arc<SharedCache>) -> EvalService {
         EvalService {
             shared,

@@ -1,10 +1,10 @@
-//! The suite-wide shared cache: every per-process cache fragment —
-//! score dedup ([`crate::ScoreCache`]), parsed completions
-//! ([`crate::ParsedPool`]), golden contexts (compiled designs + elab
-//! fragments), and model generations (keyed by the model's fingerprint) —
-//! unified behind **one content-addressed key space**, optionally backed by
-//! the checksummed [`PersistStore`] so scores and generations survive across
-//! runs and processes.
+//! The suite-wide shared cache: one in-memory, content-addressed cache with
+//! four tiers — scored verdicts, parsed completions, golden contexts
+//! (compiled designs + parsed libraries), and model generations (keyed by
+//! the model's fingerprint). One instance serves every thread of an
+//! [`crate::EvalService`] run and any number of plain grid runs. Nothing
+//! here touches disk: a killed run resumes from its outcome journal
+//! ([`crate::RunJournal`]), not from the cache.
 //!
 //! ## Key space
 //!
@@ -21,24 +21,27 @@
 //! - **generate**: the model's [`SimLlm::fingerprint`] (memory + config
 //!   content hash) mixed with the prompt, trial count, and base seed.
 //!
+//! The parse, context and generate tiers are one exactly-once memo
+//! (`Memo`): each key is built by a single thread, concurrent first
+//! encounters included, and every later lookup shares the built value.
+//!
 //! ## Invariants
 //!
 //! Replays are **bitwise-equal to fresh work**: stimulus seeds derive from
-//! content (see [`crate::trial_seed`]), parsing and generation are pure
-//! functions of their keys, and golden contexts are built exactly once per
-//! content. Faulted verdicts are never admitted to any tier (the engine
-//! failed, not the completion), the [`rtlb_sim::FaultSite::CacheInsert`]
-//! site can veto any insert deterministically, and persisted entries ride
-//! the store's checksum validation — a flipped bit quarantines the entry
-//! and degrades to a miss. `tests/service_equiv.rs` pins cold ≡ warm and
-//! serial ≡ sharded over these tiers.
+//! content (see [`crate::trial_seed`]), and parsing, golden builds and
+//! generation are pure functions of their keys. Faulted verdicts are never
+//! admitted to the score tier (the engine failed, not the completion), and
+//! the [`rtlb_sim::FaultSite::CacheInsert`] site can veto a score or parse
+//! insert deterministically. `tests/service_equiv.rs` pins cold ≡ warm (a
+//! second run over the same cache) and serial ≡ sharded over these tiers.
 
-use crate::cache::{admit, CacheStats, ParsedPool, SharedParse};
+use crate::cache::{admit, completion_hash, CacheStats};
 use crate::eval::{problem_base, EvalConfig};
-use crate::persist::{outcome_code, outcome_from_code, Fnv, PersistStore};
+use crate::persist::Fnv;
 use crate::problems::Problem;
 use crate::score::{golden_context, GoldenContext, Outcome};
 use rtlb_model::SimLlm;
+use rtlb_verilog::ast::SourceFile;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -47,9 +50,9 @@ use std::sync::{Arc, OnceLock, RwLock};
 /// reports and the `service` bench section.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct TierStats {
-    /// Score lookups: in-memory suite map plus the persistent store.
+    /// Scored-verdict lookups.
     pub score: CacheStats,
-    /// Parsed-completion pool.
+    /// Parsed completions.
     pub parse: CacheStats,
     /// Golden contexts (compiled golden + parsed library per problem content).
     pub context: CacheStats,
@@ -79,7 +82,7 @@ impl TierStats {
 /// cycle count, the stimulus-trial count, and the per-problem base seed
 /// (which [`crate::trial_seed`] mixes with the completion hash). Two grid
 /// cells with equal scopes score equal completions identically — across
-/// workers, runs, and processes.
+/// workers and runs.
 pub fn score_scope(problem: &Problem, config: &EvalConfig, pi: usize) -> u64 {
     let mut h = Fnv::new();
     h.write_str("score-scope-v1");
@@ -90,7 +93,7 @@ pub fn score_scope(problem: &Problem, config: &EvalConfig, pi: usize) -> u64 {
     h.finish()
 }
 
-/// One store key from a `(scope, completion)` pair.
+/// The key the insert gate decides a `(scope, completion)` verdict on.
 fn score_key(scope: u64, completion: u64) -> u64 {
     let mut h = Fnv::new();
     h.write_u64(scope);
@@ -98,7 +101,7 @@ fn score_key(scope: u64, completion: u64) -> u64 {
     h.finish()
 }
 
-/// One store key for a generation batch.
+/// The generate tier's key for a generation batch.
 fn generate_key(fingerprint: u64, prompt: &str, n: usize, base: u64) -> u64 {
     let mut h = Fnv::new();
     h.write_str("generate-v1");
@@ -109,193 +112,188 @@ fn generate_key(fingerprint: u64, prompt: &str, n: usize, base: u64) -> u64 {
     h.finish()
 }
 
-/// Length-prefixed encoding of a generation batch (`u32` count, then per
-/// completion a `u32` length and the UTF-8 bytes).
-fn encode_generations(items: &[String]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + items.iter().map(|s| 4 + s.len()).sum::<usize>());
-    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-    for s in items {
-        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        out.extend_from_slice(s.as_bytes());
-    }
-    out
+/// One tier's hit/miss counters.
+#[derive(Debug, Default)]
+struct Counts {
+    hits: AtomicU32,
+    misses: AtomicU32,
 }
 
-fn decode_generations(bytes: &[u8]) -> Option<Vec<String>> {
-    let mut at = 0usize;
-    let take4 = |at: &mut usize| -> Option<u32> {
-        let v = u32::from_le_bytes(bytes.get(*at..*at + 4)?.try_into().ok()?);
-        *at += 4;
-        Some(v)
-    };
-    let count = take4(&mut at)? as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let len = take4(&mut at)? as usize;
-        let s = std::str::from_utf8(bytes.get(at..at + len)?).ok()?;
-        at += len;
-        out.push(s.to_owned());
+impl Counts {
+    fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
-    (at == bytes.len()).then_some(out)
+
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
+    }
 }
 
-type Slot<T> = Arc<OnceLock<T>>;
+/// An exactly-once memo over content keys. The map holds one `OnceLock`
+/// slot per key; racing threads agree on a slot through the lock, and
+/// `OnceLock::get_or_init` elects a single builder (the one miss) while the
+/// rest block and share its value (hits). A build that panics leaves its
+/// slot empty, so the next lookup builds again.
+#[derive(Debug)]
+struct Memo<T> {
+    slots: RwLock<HashMap<u64, Arc<OnceLock<T>>>>,
+    counts: Counts,
+}
 
-fn slot_for<T>(map: &RwLock<HashMap<u64, Slot<T>>>, key: u64) -> Slot<T> {
-    if let Some(slot) = map.read().unwrap_or_else(|e| e.into_inner()).get(&key) {
-        return Arc::clone(slot);
+impl<T> Default for Memo<T> {
+    fn default() -> Self {
+        Memo {
+            slots: RwLock::default(),
+            counts: Counts::default(),
+        }
     }
-    Arc::clone(
-        map.write()
+}
+
+impl<T: Clone> Memo<T> {
+    fn get_or_build(&self, key: u64, build: impl FnOnce() -> T) -> T {
+        let known = self
+            .slots
+            .read()
             .unwrap_or_else(|e| e.into_inner())
-            .entry(key)
-            .or_default(),
-    )
+            .get(&key)
+            .cloned();
+        let slot = known.unwrap_or_else(|| {
+            let mut slots = self.slots.write().unwrap_or_else(|e| e.into_inner());
+            Arc::clone(slots.entry(key).or_default())
+        });
+        let mut built = false;
+        let value = slot
+            .get_or_init(|| {
+                built = true;
+                self.counts.count(false);
+                build()
+            })
+            .clone();
+        if !built {
+            self.counts.count(true);
+        }
+        value
+    }
 }
 
-/// The suite-wide unified cache. One instance serves every worker of an
-/// [`crate::EvalService`] (and any number of plain grid runs); with a
-/// [`PersistStore`] attached, score verdicts and generation batches also
-/// survive across processes.
+/// What [`SharedCache::parsed`] found for a completion's text.
+#[derive(Debug, Clone)]
+pub enum SharedParse {
+    /// The completion parsed; the interned AST is shared behind `Arc` with
+    /// every grid cell scoring the same text (the candidate pool is shared
+    /// across problems, so the same completion recurs grid-wide).
+    Parsed(Arc<SourceFile>),
+    /// The completion is known not to parse. The verdict is deterministic in
+    /// the text, so replaying `SyntaxFail` is bitwise-equal to re-parsing.
+    SyntaxFail,
+    /// The parser panicked on this text (it is panic-free by policy, so this
+    /// arm is belt-and-braces). Nothing is cached; the caller falls back to
+    /// the self-contained scoring path, whose `catch_unwind` reproduces the
+    /// contained-panic verdict exactly.
+    Unshared,
+}
+
+/// The suite-wide cache. One instance serves every thread of an
+/// [`crate::EvalService`] and any number of plain grid runs.
 #[derive(Debug, Default)]
 pub struct SharedCache {
-    store: Option<PersistStore>,
-    #[allow(clippy::type_complexity)]
     scores: RwLock<HashMap<(u64, u64), Outcome>>,
-    score_hits: AtomicU32,
-    score_misses: AtomicU32,
-    pool: ParsedPool,
-    contexts: RwLock<HashMap<u64, Slot<Option<Arc<GoldenContext>>>>>,
-    context_hits: AtomicU32,
-    context_misses: AtomicU32,
-    generations: RwLock<HashMap<u64, Slot<Arc<Vec<String>>>>>,
-    generate_hits: AtomicU32,
-    generate_misses: AtomicU32,
+    score_counts: Counts,
+    parses: Memo<Option<Arc<SourceFile>>>,
+    contexts: Memo<Option<Arc<GoldenContext>>>,
+    generations: Memo<Arc<Vec<String>>>,
 }
 
 impl SharedCache {
-    /// An in-memory suite cache (no persistence).
+    /// An empty cache.
     pub fn new() -> SharedCache {
         SharedCache::default()
-    }
-
-    /// A suite cache backed by `store`: score verdicts and generation
-    /// batches are written through and served across processes.
-    pub fn with_store(store: PersistStore) -> SharedCache {
-        SharedCache {
-            store: Some(store),
-            ..SharedCache::default()
-        }
-    }
-
-    /// The persistent store behind this cache, if any.
-    pub fn store(&self) -> Option<&PersistStore> {
-        self.store.as_ref()
     }
 
     /// Per-tier counters accumulated over this cache's lifetime.
     pub fn tier_stats(&self) -> TierStats {
         TierStats {
-            score: CacheStats {
-                hits: self.score_hits.load(Ordering::Relaxed),
-                misses: self.score_misses.load(Ordering::Relaxed),
-            },
-            parse: self.pool.stats(),
-            context: CacheStats {
-                hits: self.context_hits.load(Ordering::Relaxed),
-                misses: self.context_misses.load(Ordering::Relaxed),
-            },
-            generate: CacheStats {
-                hits: self.generate_hits.load(Ordering::Relaxed),
-                misses: self.generate_misses.load(Ordering::Relaxed),
-            },
+            score: self.score_counts.stats(),
+            parse: self.parses.counts.stats(),
+            context: self.contexts.counts.stats(),
+            generate: self.generations.counts.stats(),
         }
     }
 
     // -- score tier ---------------------------------------------------------
 
-    /// Looks up a scored verdict by `(scope, completion)` content key: the
-    /// in-memory suite map first, then the persistent store. A store hit
-    /// promotes into the suite map (through the same deterministic
-    /// [`rtlb_sim::FaultSite::CacheInsert`] gate a fresh insert takes).
+    /// Looks up a scored verdict by `(scope, completion)` content key.
     pub fn lookup_score(&self, scope: u64, completion: u64) -> Option<Outcome> {
         // A run carrying a fault plan does not use the suite tier: a replay
         // of a pre-chaos verdict would diverge from the serial faulted run
         // (which scores fresh and may take an injected fault), breaking the
         // chaos lockstep invariant. Other runs sharing the cache keep it.
-        if rtlb_sim::plan_armed() {
-            self.score_misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        if let Some(outcome) = self
-            .scores
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&(scope, completion))
-        {
-            self.score_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(*outcome);
-        }
-        if let Some(store) = &self.store {
-            let key = score_key(scope, completion);
-            if let Some(payload) = store.get("score", key) {
-                // Faults are never persisted; a decoded fault means a
-                // corrupted-but-checksum-colliding entry, which we refuse.
-                if let Some(outcome) = payload
-                    .first()
-                    .and_then(|&code| outcome_from_code(code))
-                    .filter(|o| !o.is_fault() && payload.len() == 1)
-                {
-                    if admit(key) {
-                        self.scores
-                            .write()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .insert((scope, completion), outcome);
-                    }
-                    self.score_hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(outcome);
-                }
-            }
-        }
-        self.score_misses.fetch_add(1, Ordering::Relaxed);
-        None
+        let found = if rtlb_sim::plan_armed() {
+            None
+        } else {
+            self.scores
+                .read()
+                .unwrap_or_else(|e| e.into_inner())
+                .get(&(scope, completion))
+                .copied()
+        };
+        self.score_counts.count(found.is_some());
+        found
     }
 
     /// Records a freshly scored verdict. Faulted verdicts are quarantined
-    /// tier-wide (never memoized, never persisted): the engine failed, not
-    /// the completion, and replaying the fault would freeze it into every
-    /// duplicate. The [`rtlb_sim::FaultSite::CacheInsert`] gate (keyed by
-    /// the combined content key) can veto the insert deterministically.
+    /// tier-wide (never memoized): the engine failed, not the completion,
+    /// and replaying the fault would freeze it into every duplicate. The
+    /// [`rtlb_sim::FaultSite::CacheInsert`] gate (keyed by the combined
+    /// content key) can veto the insert deterministically.
     pub fn record_score(&self, scope: u64, completion: u64, outcome: Outcome) {
         // An armed fault plan can surface injections as *scored* verdicts
         // (an injected parse error degrades to `SyntaxFail`), so nothing
         // a chaos run scores may outlive it — see
         // [`rtlb_sim::plan_armed`].
-        if outcome.is_fault() || rtlb_sim::plan_armed() {
-            return;
-        }
-        let key = score_key(scope, completion);
-        if !admit(key) {
+        if outcome.is_fault() || rtlb_sim::plan_armed() || !admit(score_key(scope, completion)) {
             return;
         }
         self.scores
             .write()
             .unwrap_or_else(|e| e.into_inner())
             .insert((scope, completion), outcome);
-        if let Some(store) = &self.store {
-            // A failed write degrades to a future miss; the verdict is
-            // still served from the in-memory map for this process.
-            let _ = store.put("score", key, &[outcome_code(outcome)]);
-        }
     }
 
     // -- parse tier ---------------------------------------------------------
 
-    /// The shared parse of a completion text (see
-    /// [`ParsedPool::get_or_parse`]): exactly one parse per distinct text,
-    /// suite-wide.
+    /// The shared parse of a completion text: exactly one parse per distinct
+    /// text, suite-wide, concurrent duplicates included. With the interned
+    /// AST a parse is just `SymbolId`s over the shared
+    /// [`rtlb_verilog::SymbolTable`], so one `Arc<SourceFile>` serves every
+    /// cell. Sharing is sound because parsing is a pure function of the
+    /// text, and the per-completion [`rtlb_sim::FaultSite::Parse`] site still
+    /// runs inside each scoring call's own fault scope. An armed
+    /// [`rtlb_sim::FaultSite::CacheInsert`] plan can veto sharing for this
+    /// text (keyed by content hash, so the decision is identical on every
+    /// thread): the text then parses privately, counted as a miss.
     pub fn parsed(&self, code: &str) -> SharedParse {
-        self.pool.get_or_parse(code)
+        let key = completion_hash(code);
+        let parse = || rtlb_verilog::parse(code).ok().map(Arc::new);
+        // A parser panic leaves the slot empty; catch it here so the caller
+        // falls back to the self-contained scoring path.
+        let entry = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if admit(key) {
+                self.parses.get_or_build(key, parse)
+            } else {
+                self.parses.counts.count(false);
+                parse()
+            }
+        }));
+        match entry {
+            Ok(Some(file)) => SharedParse::Parsed(file),
+            Ok(None) => SharedParse::SyntaxFail,
+            Err(_) => SharedParse::Unshared,
+        }
     }
 
     // -- context tier -------------------------------------------------------
@@ -309,62 +307,21 @@ impl SharedCache {
         h.write_str("golden-context-v1");
         h.write_str(&problem.spec.full_source());
         h.write_u64(problem.cycles as u64);
-        let slot = slot_for(&self.contexts, h.finish());
-        let mut built = false;
-        let ctx = slot
-            .get_or_init(|| {
-                built = true;
-                golden_context(problem).ok().map(Arc::new)
-            })
-            .clone();
-        if built {
-            self.context_misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.context_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        ctx
+        self.contexts
+            .get_or_build(h.finish(), || golden_context(problem).ok().map(Arc::new))
     }
 
     // -- generate tier ------------------------------------------------------
 
     /// The model's completion batch for `(prompt, n, base)`, keyed by the
-    /// model's content fingerprint: generated exactly once per key in this
-    /// process and, with a store attached, replayed across processes.
+    /// model's content fingerprint and generated exactly once per key.
     /// Generation is a pure function of the key (retrieval + sampling are
     /// seed-deterministic), so a replayed batch is bitwise-equal to a fresh
     /// one.
     pub fn generate(&self, model: &SimLlm, prompt: &str, n: usize, base: u64) -> Arc<Vec<String>> {
         let key = generate_key(model.fingerprint(), prompt, n, base);
-        let slot = slot_for(&self.generations, key);
-        // A slot re-use and a persisted replay both count as hits; only an
-        // actual model invocation is a miss (mirroring the score tier,
-        // where a store hit is a hit).
-        let mut invoked_model = false;
-        let batch = slot
-            .get_or_init(|| {
-                if let Some(store) = &self.store {
-                    if let Some(cached) = store
-                        .get("generate", key)
-                        .as_deref()
-                        .and_then(decode_generations)
-                    {
-                        return Arc::new(cached);
-                    }
-                }
-                invoked_model = true;
-                let fresh = model.generate_n(prompt, n, base);
-                if let Some(store) = &self.store {
-                    let _ = store.put("generate", key, &encode_generations(&fresh));
-                }
-                Arc::new(fresh)
-            })
-            .clone();
-        if invoked_model {
-            self.generate_misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.generate_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        batch
+        self.generations
+            .get_or_build(key, || Arc::new(model.generate_n(prompt, n, base)))
     }
 }
 
@@ -373,15 +330,14 @@ impl SharedCache {
 mod tests {
     use super::*;
     use crate::problems::mini_suite;
+    use crate::EvalService;
 
-    fn tmp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "rtlb-shared-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    /// The counters a warm pass added on top of the cold pass's.
+    fn since(after: CacheStats, before: CacheStats) -> CacheStats {
+        CacheStats {
+            hits: after.hits - before.hits,
+            misses: after.misses - before.misses,
+        }
     }
 
     #[test]
@@ -403,30 +359,34 @@ mod tests {
 
     #[test]
     fn scores_round_trip_through_memory_and_store() {
-        let dir = tmp_dir("scores");
-        let cache = SharedCache::with_store(PersistStore::open(&dir).unwrap());
+        let cache = Arc::new(SharedCache::new());
         assert_eq!(cache.lookup_score(7, 9), None);
         cache.record_score(7, 9, Outcome::Pass);
         assert_eq!(cache.lookup_score(7, 9), Some(Outcome::Pass));
-        // A second cache over the same store sees the persisted verdict.
-        let warm = SharedCache::with_store(PersistStore::open(&dir).unwrap());
-        assert_eq!(warm.lookup_score(7, 9), Some(Outcome::Pass));
-        assert_eq!(warm.tier_stats().score, CacheStats { hits: 1, misses: 0 });
-        let _ = std::fs::remove_dir_all(&dir);
+        // A second service over the same cache sees the recorded verdict.
+        let cold = cache.tier_stats().score;
+        let warm = EvalService::with_cache(1, Arc::clone(&cache));
+        assert_eq!(warm.cache().lookup_score(7, 9), Some(Outcome::Pass));
+        assert_eq!(
+            since(warm.tier_stats().score, cold),
+            CacheStats { hits: 1, misses: 0 }
+        );
     }
 
     #[test]
     fn faulted_verdicts_are_never_admitted() {
-        let dir = tmp_dir("faults");
-        let cache = SharedCache::with_store(PersistStore::open(&dir).unwrap());
+        let cache = Arc::new(SharedCache::new());
         let fault = Outcome::EngineFault {
             kind: rtlb_sim::FaultKind::Panic,
         };
         cache.record_score(1, 2, fault);
         assert_eq!(cache.lookup_score(1, 2), None, "faults are quarantined");
-        let warm = SharedCache::with_store(PersistStore::open(&dir).unwrap());
-        assert_eq!(warm.lookup_score(1, 2), None, "faults are never persisted");
-        let _ = std::fs::remove_dir_all(&dir);
+        let warm = EvalService::with_cache(1, Arc::clone(&cache));
+        assert_eq!(
+            warm.cache().lookup_score(1, 2),
+            None,
+            "faults are never replayed"
+        );
     }
 
     #[test]
@@ -436,43 +396,28 @@ mod tests {
             ..rtlb_corpus::CorpusConfig::default()
         });
         let model = SimLlm::finetune(&corpus, rtlb_model::ModelConfig::default());
-        let dir = tmp_dir("gens");
         let prompt = "Implement a 4-bit counter";
-        let cold = SharedCache::with_store(PersistStore::open(&dir).unwrap());
+        let cold = Arc::new(SharedCache::new());
         let fresh = cold.generate(&model, prompt, 5, 0xABCD);
         assert_eq!(fresh.len(), 5);
         assert_eq!(
             cold.tier_stats().generate,
             CacheStats { hits: 0, misses: 1 }
         );
-        // Same process, same key: served from the slot.
+        // Same cache, same key: served from the slot.
         let again = cold.generate(&model, prompt, 5, 0xABCD);
         assert!(Arc::ptr_eq(&fresh, &again));
-        // New process (new cache over the same store): bitwise replay
-        // without invoking the model.
-        let warm = SharedCache::with_store(PersistStore::open(&dir).unwrap());
-        let replayed = warm.generate(&model, prompt, 5, 0xABCD);
+        // A second service over the same cache: bitwise replay without
+        // invoking the model.
+        let before = cold.tier_stats().generate;
+        let warm = EvalService::with_cache(1, Arc::clone(&cold));
+        let replayed = warm.cache().generate(&model, prompt, 5, 0xABCD);
         assert_eq!(*fresh, *replayed);
         assert_eq!(
-            warm.tier_stats().generate,
+            since(warm.tier_stats().generate, before),
             CacheStats { hits: 1, misses: 0 },
-            "a persisted replay is a hit, not a miss"
+            "a replay is a hit, not a miss"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn generation_encoding_round_trips() {
-        let items = vec![
-            "module a; endmodule".to_owned(),
-            String::new(),
-            "x".repeat(300),
-        ];
-        assert_eq!(decode_generations(&encode_generations(&items)), Some(items));
-        assert_eq!(decode_generations(&[1, 2, 3]), None, "truncated header");
-        let mut bytes = encode_generations(&["ok".to_owned()]);
-        bytes.push(0);
-        assert_eq!(decode_generations(&bytes), None, "trailing garbage");
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //!   ([`evaluate_model`]) — and, in durable mode, journal *bytes* equal to
 //!   the single-worker service run (the committer serializes records in
 //!   canonical suite order, independent of worker scheduling).
-//! - **Warmth is invisible**: a cache-warm run over a persistent store is
-//!   bitwise-equal to a cache-cold one; only the tier telemetry moves.
+//! - **Warmth is invisible**: a cache-warm run (a new service over the
+//!   same [`SharedCache`]) is bitwise-equal to a cache-cold one; only the
+//!   tier telemetry moves.
 //! - **Chaos degrades, never diverges**: seeded [`FaultPlan`]s over the
 //!   unified tiers (cache-insert vetoes) and [`PersistPlan`]s over the
-//!   store/journal sites never change a verdict, never admit a faulted
-//!   entry, and a clean re-run equals a run that never faulted.
+//!   journal sites never change a verdict, never admit a faulted entry, and
+//!   a clean re-run equals a run that never faulted.
 //!
 //! Set `RTLB_CHAOS_QUICK=1` to sweep the reduced `mini_suite` (the CI smoke
 //! configuration); the default sweeps the full problem suite.
@@ -23,8 +24,8 @@ use rtlb_model::SimLlm;
 use rtlb_sim::{silence_injected_panics, with_plan, FaultSite};
 use rtlb_vereval::{
     evaluate_grid, evaluate_model, mini_suite, problem_suite, run_manifest_key, with_persist_plan,
-    DurableRun, EvalConfig, EvalReport, EvalService, FaultPlan, Outcome, PersistPlan, PersistSite,
-    PersistStore, Problem, SharedCache,
+    CacheStats, DurableRun, EvalConfig, EvalReport, EvalService, FaultPlan, Outcome, PersistPlan,
+    PersistSite, Problem, SharedCache, TierStats,
 };
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -64,8 +65,19 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn store_at(dir: &PathBuf) -> PersistStore {
-    PersistStore::open(dir).expect("store opens")
+/// The tier counters a warm run added on top of `cold`'s (a service's
+/// counters accumulate over its cache's lifetime).
+fn warm_delta(warm: &TierStats, cold: &TierStats) -> TierStats {
+    let since = |a: CacheStats, b: CacheStats| CacheStats {
+        hits: a.hits - b.hits,
+        misses: a.misses - b.misses,
+    };
+    TierStats {
+        score: since(warm.score, cold.score),
+        parse: since(warm.parse, cold.parse),
+        context: since(warm.context, cold.context),
+        generate: since(warm.generate, cold.generate),
+    }
 }
 
 /// One problem's verdict content: id, n, c, and the sorted outcome histogram.
@@ -96,14 +108,9 @@ fn sharded_suite_is_bitwise_equal_to_serial_grid_cold_and_warm() {
     let serial = evaluate_model(&model, &problems, &cfg);
     let serial_json = serde_json::to_string(&serial).expect("report serializes");
 
-    let dir = temp_dir("cold_warm");
     for workers in [1, 4] {
-        // Cache-cold: a fresh store-backed cache per worker count.
-        let cold_dir = temp_dir(&format!("cold_{workers}"));
-        let service = EvalService::with_cache(
-            workers,
-            Arc::new(SharedCache::with_store(store_at(&cold_dir))),
-        );
+        // Cache-cold: a fresh cache per worker count.
+        let service = EvalService::new(workers);
         let mut streamed = Vec::new();
         let cold = service.eval_suite(&model, &problems, &cfg, |r| streamed.push(r.clone()));
         assert_eq!(cold.report, serial, "{workers}-worker cold == serial grid");
@@ -113,32 +120,28 @@ fn sharded_suite_is_bitwise_equal_to_serial_grid_cold_and_warm() {
             "{workers}-worker cold serializes identically"
         );
         assert_eq!(streamed, serial.problems, "sink streams in suite order");
-        let _ = std::fs::remove_dir_all(&cold_dir);
     }
 
-    // Cache-warm: one cold run populates the store, then a brand-new
-    // service (fresh process-equivalent: new SharedCache, same directory)
-    // replays it entirely from the persisted tiers.
-    let cold_service =
-        EvalService::with_cache(3, Arc::new(SharedCache::with_store(store_at(&dir))));
+    // Cache-warm: one cold run populates the cache, then a brand-new
+    // service over the same cache replays it entirely from the tiers.
+    let shared = Arc::new(SharedCache::new());
+    let cold_service = EvalService::with_cache(3, Arc::clone(&shared));
     let cold = cold_service.eval_suite(&model, &problems, &cfg, |_| {});
     assert_eq!(cold.report, serial);
     drop(cold_service);
 
-    let warm_service =
-        EvalService::with_cache(3, Arc::new(SharedCache::with_store(store_at(&dir))));
+    let warm_service = EvalService::with_cache(3, shared);
     let warm = warm_service.eval_suite(&model, &problems, &cfg, |_| {});
     assert_eq!(warm.report, serial, "warm == cold == serial, bitwise");
+    let tiers = warm_delta(&warm.tiers, &cold.tiers);
     assert!(
-        warm.tiers.score.hits > 0 && warm.tiers.generate.hits > 0,
-        "the warm run must actually replay from the persisted tiers: {:?}",
-        warm.tiers
+        tiers.score.hits > 0 && tiers.generate.hits > 0,
+        "the warm run must actually replay from the cache tiers: {tiers:?}"
     );
     assert_eq!(
-        warm.tiers.score.misses, 0,
-        "a fully warm store leaves nothing to score fresh"
+        tiers.score.misses, 0,
+        "a fully warm cache leaves nothing to score fresh"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -192,10 +195,9 @@ fn sharded_journal_bytes_equal_single_worker_journal() {
     );
     let _ = std::fs::remove_dir_all(&grid_dir);
 
-    // And a warm store changes the journal bytes either: persisted-score
+    // And a warm cache does not change the journal bytes either: score-tier
     // replays are journaled exactly like fresh verdicts.
-    let store_dir = temp_dir("journal_store");
-    let shared = Arc::new(SharedCache::with_store(store_at(&store_dir)));
+    let shared = Arc::new(SharedCache::new());
     let warm_dir = temp_dir("journal_warm");
     {
         let service = EvalService::with_cache(2, Arc::clone(&shared));
@@ -206,8 +208,7 @@ fn sharded_journal_bytes_equal_single_worker_journal() {
             .expect("warmup run");
         let _ = std::fs::remove_dir_all(&warmup);
     }
-    let warm_cache = Arc::new(SharedCache::with_store(store_at(&store_dir)));
-    let service = EvalService::with_cache(4, warm_cache);
+    let service = EvalService::with_cache(4, shared);
     let run = Arc::new(DurableRun::open(&warm_dir).expect("run dir"));
     let report = service
         .eval_suite_durable(&model, &problems, &cfg, &run, |_| {})
@@ -218,7 +219,6 @@ fn sharded_journal_bytes_equal_single_worker_journal() {
         warm_journal, journals[0],
         "a cache-warm run journals the same bytes a cold run does"
     );
-    let _ = std::fs::remove_dir_all(&store_dir);
     let _ = std::fs::remove_dir_all(&warm_dir);
 }
 
@@ -230,13 +230,12 @@ fn cache_insert_chaos_never_changes_a_verdict() {
     let cfg = eval_cfg();
     let truth = evaluate_model(&model, &problems, &cfg);
 
-    // Cache-insert vetoes only skip memoization across every unified tier
-    // (score map, parse pool, persisted promotion);
+    // Cache-insert vetoes only skip memoization in the score and parse
+    // tiers;
     // the re-scored work is bitwise-equal, so the report must not move.
     for seed in [0xCAC4_E001u64, 0xCAC4_E002, 0xCAC4_E003] {
         let plan = FaultPlan::only_site(seed, 1, FaultSite::CacheInsert);
-        let dir = temp_dir(&format!("insert_chaos_{seed:x}"));
-        let shared = Arc::new(SharedCache::with_store(store_at(&dir)));
+        let shared = Arc::new(SharedCache::new());
         let service = EvalService::with_cache(4, Arc::clone(&shared));
         let chaotic = with_plan(plan, || service.eval_suite(&model, &problems, &cfg, |_| {}));
         assert_eq!(
@@ -245,12 +244,11 @@ fn cache_insert_chaos_never_changes_a_verdict() {
             "cache-insert vetoes must never change a verdict"
         );
         // Whatever the vetoes let through is still only clean content: a
-        // disarmed warm service over the surviving store replays to truth.
+        // disarmed warm service over the same cache replays to truth.
         drop(service);
-        let warm = EvalService::with_cache(4, Arc::new(SharedCache::with_store(store_at(&dir))));
+        let warm = EvalService::with_cache(4, shared);
         let replayed = warm.eval_suite(&model, &problems, &cfg, |_| {});
-        assert_eq!(replayed.report, truth, "surviving store replays to truth");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(replayed.report, truth, "surviving cache replays to truth");
     }
 }
 
@@ -267,8 +265,8 @@ fn engine_fault_chaos_is_contained_and_never_admitted() {
     // (site, completion content), never by worker or schedule, so the same
     // plan produces the same faulted report at any worker count.
     let faulted_serial = with_plan(plan, || evaluate_model(&model, &problems, &cfg));
-    let dir = temp_dir("fault_chaos");
-    let service = EvalService::with_cache(4, Arc::new(SharedCache::with_store(store_at(&dir))));
+    let shared = Arc::new(SharedCache::new());
+    let service = EvalService::with_cache(4, Arc::clone(&shared));
     let faulted = with_plan(plan, || service.eval_suite(&model, &problems, &cfg, |_| {}));
     assert_eq!(
         faulted.report, faulted_serial,
@@ -281,14 +279,13 @@ fn engine_fault_chaos_is_contained_and_never_admitted() {
     drop(service);
 
     // Faulted verdicts were never admitted to any tier: a disarmed warm
-    // service over the surviving store equals the never-faulted truth.
-    let warm = EvalService::with_cache(4, Arc::new(SharedCache::with_store(store_at(&dir))));
+    // service over the same cache equals the never-faulted truth.
+    let warm = EvalService::with_cache(4, shared);
     let replayed = warm.eval_suite(&model, &problems, &cfg, |_| {});
     assert_eq!(
         replayed.report, truth,
-        "no injected fault may survive into the persistent tiers"
+        "no injected fault may survive into the cache tiers"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -332,9 +329,8 @@ fn persist_site_chaos_over_the_unified_tiers_never_diverges() {
 
     for (i, site) in PersistSite::ALL.into_iter().enumerate() {
         let plan = PersistPlan::new(0x5709_E000 + i as u64, 2);
-        let dir = temp_dir(&format!("persist_chaos_{}", site.name()));
         let run_dir = temp_dir(&format!("persist_chaos_run_{}", site.name()));
-        let shared = Arc::new(SharedCache::with_store(store_at(&dir)));
+        let shared = Arc::new(SharedCache::new());
         let service = EvalService::with_cache(3, Arc::clone(&shared));
         let run = Arc::new(DurableRun::open(&run_dir).expect("run dir"));
         let chaotic = with_persist_plan(plan, || {
@@ -349,15 +345,14 @@ fn persist_site_chaos_over_the_unified_tiers_never_diverges() {
             site.name()
         );
         drop(service);
-        // Disarmed warm re-run over whatever survived (quarantined entries,
-        // wounded journals): every corrupted entry must read as a miss and
-        // rebuild, converging back to truth.
-        let warm = EvalService::with_cache(3, Arc::new(SharedCache::with_store(store_at(&dir))));
+        // Disarmed warm re-run over whatever survived (quarantined or
+        // wounded journals): every corrupted record must read as a miss and
+        // re-score, converging back to truth.
+        let warm = EvalService::with_cache(3, shared);
         let replayed = warm
             .eval_suite_durable(&model, &problems, &cfg, &run, |_| {})
             .expect("recovery run");
         assert_eq!(replayed.report, truth, "recovery after {}", site.name());
-        let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&run_dir);
     }
 }
@@ -378,19 +373,16 @@ proptest! {
         let cfg = EvalConfig { n: 3, seed, stimulus_trials: 1 };
         let serial = evaluate_model(&model, &problems, &cfg);
 
-        let dir = temp_dir(&format!("prop_{workers}_{seed}"));
-        let service =
-            EvalService::with_cache(workers, Arc::new(SharedCache::with_store(store_at(&dir))));
+        let shared = Arc::new(SharedCache::new());
+        let service = EvalService::with_cache(workers, Arc::clone(&shared));
         let cold = service.eval_suite(&model, &problems, &cfg, |_| {});
         prop_assert_eq!(&cold.report, &serial);
         drop(service);
 
-        let warm_service =
-            EvalService::with_cache(workers, Arc::new(SharedCache::with_store(store_at(&dir))));
+        let warm_service = EvalService::with_cache(workers, shared);
         let warm = warm_service.eval_suite(&model, &problems, &cfg, |_| {});
         prop_assert_eq!(&warm.report, &serial);
-        prop_assert_eq!(warm.tiers.score.misses, 0);
-        let _ = std::fs::remove_dir_all(&dir);
+        prop_assert_eq!(warm_delta(&warm.tiers, &cold.tiers).score.misses, 0);
     }
 }
 
