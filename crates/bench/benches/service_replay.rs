@@ -41,7 +41,6 @@ fn quick() -> bool {
 #[derive(serde::Serialize)]
 struct TierRates {
     score: f64,
-    parse: f64,
     context: f64,
     generate: f64,
 }
@@ -258,7 +257,6 @@ fn bench_service(c: &mut Criterion) {
         cache_hit_rate,
         tier_hit_rates: TierRates {
             score: tiers.score.hit_rate(),
-            parse: tiers.parse.hit_rate(),
             context: tiers.context.hit_rate(),
             generate: tiers.generate.hit_rate(),
         },

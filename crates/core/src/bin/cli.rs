@@ -49,7 +49,7 @@ use rtlb_corpus::{generate_corpus, WordFrequency};
 use rtlb_model::SimLlm;
 use rtlb_vereval::{
     classify_adder, lexical_scan, probe_rare_words, problem_suite, static_scan, timebomb_scan,
-    AdderArchitecture, DurableRun, EvalConfig, EvalService, ProbeConfig, ProblemResult,
+    AdderArchitecture, EvalService, ProbeConfig, ProblemResult,
 };
 use std::sync::Arc;
 
@@ -496,11 +496,7 @@ fn cmd_eval(opts: &Options, workers: Option<usize>) {
     let store = opts.store();
     let model = store.clean_model(&opts.cfg);
     let suite = problem_suite();
-    let eval_cfg = EvalConfig {
-        n: opts.cfg.eval_n,
-        seed: opts.cfg.seed,
-        stimulus_trials: opts.cfg.stimulus_trials,
-    };
+    let eval_cfg = opts.cfg.eval_config();
     let workers = workers.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|p| p.get().clamp(2, 8))
@@ -525,34 +521,18 @@ fn cmd_eval(opts: &Options, workers: Option<usize>) {
             println!("  {:<24} pass {:>2}/{}", r.id, r.c, r.n);
         }
     };
-    let report = match &opts.cfg.run_dir {
-        Some(dir) => {
-            let durable = DurableRun::open(dir).and_then(|run| {
-                let run = match opts.cfg.run_deadline_ms {
-                    Some(ms) => run.with_watchdog(std::time::Duration::from_millis(ms)),
-                    None => run,
-                };
-                service.eval_suite_durable(&model, &suite, &eval_cfg, &Arc::new(run), sink)
-            });
-            match durable {
-                Ok(report) => report,
-                Err(e) => {
-                    eprintln!("warning: durable run layer unavailable ({e}); continuing in-memory");
-                    service.eval_suite(&model, &suite, &eval_cfg, sink)
-                }
-            }
-        }
-        None => service.eval_suite(&model, &suite, &eval_cfg, sink),
-    };
+    let report = opts.cfg.run_durably(
+        |run| service.eval_suite_durable(&model, &suite, &eval_cfg, &Arc::new(run), sink),
+        || service.eval_suite(&model, &suite, &eval_cfg, sink),
+    );
     if !opts.finish(&writer, "eval_service", &report) {
         return;
     }
     println!("\npass@1 = {:.3}", report.report.pass_at_k(1));
     let t = &report.tiers;
     println!(
-        "cache tiers: score {:.0}%, parse {:.0}%, context {:.0}%, generate {:.0}% (aggregate {:.0}%)",
+        "cache tiers: score {:.0}%, context {:.0}%, generate {:.0}% (aggregate {:.0}%)",
         t.score.hit_rate() * 100.0,
-        t.parse.hit_rate() * 100.0,
         t.context.hit_rate() * 100.0,
         t.generate.hit_rate() * 100.0,
         t.hit_rate() * 100.0,

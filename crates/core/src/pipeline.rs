@@ -33,9 +33,10 @@ use rayon::prelude::*;
 use rtlb_corpus::{paraphrases, CorpusConfig, Dataset};
 use rtlb_model::{ModelConfig, SimLlm};
 use rtlb_vereval::{
-    evaluate_grid, evaluate_model, problem_suite, score_completion, static_scan, DurableRun,
-    EvalConfig, EvalReport, Problem, RunPlans, SharedCache,
+    evaluate_grid, problem_suite, score_completion, static_scan, DurableRun, EvalConfig,
+    EvalReport, Problem, RunPlans, SharedCache,
 };
+use std::io;
 use std::sync::Arc;
 
 /// Configuration of a full pipeline run.
@@ -105,34 +106,55 @@ impl PipelineConfig {
             ..PipelineConfig::default()
         }
     }
+
+    /// The settings every evaluation grid of this pipeline runs under.
+    pub fn eval_config(&self) -> EvalConfig {
+        EvalConfig {
+            n: self.eval_n,
+            seed: self.seed,
+            stimulus_trials: self.stimulus_trials,
+        }
+    }
+
+    /// Runs `durable` over the run directory `run_dir` (with the
+    /// `run_deadline_ms` watchdog attached), or `in_memory` when no run
+    /// directory is set. If the durable layer hits a filesystem error, it
+    /// warns and falls back to `in_memory`: durability is additive, never a
+    /// reason a run fails, and a durable report is bitwise-identical to an
+    /// in-memory one (the durability invariant).
+    pub fn run_durably<T>(
+        &self,
+        durable: impl FnOnce(DurableRun) -> io::Result<T>,
+        in_memory: impl FnOnce() -> T,
+    ) -> T {
+        let Some(dir) = &self.run_dir else {
+            return in_memory();
+        };
+        let run = DurableRun::open(dir).map(|run| match self.run_deadline_ms {
+            Some(ms) => run.with_watchdog(std::time::Duration::from_millis(ms)),
+            None => run,
+        });
+        run.and_then(durable).unwrap_or_else(|e| {
+            eprintln!("warning: durable run layer unavailable ({e}); continuing in-memory");
+            in_memory()
+        })
+    }
 }
 
 /// Runs an evaluation grid through the measurement's `shared` cache,
-/// honouring the config's durability settings: with `run_dir` set the grid
-/// journals under it (optionally under a wall-clock watchdog); if the
-/// durable layer hits a filesystem error, it degrades to the in-memory grid
-/// — durability is additive, never a reason a run fails. The report is
-/// bitwise-identical either way (the durability invariant), so callers can't
-/// tell the difference and results stay comparable across modes.
+/// journaling under the config's run directory when one is set (see
+/// [`PipelineConfig::run_durably`]). The in-memory fallback scores through
+/// the same `shared` cache, so it replays what the durable attempt scored.
 fn evaluate_in(
     cfg: &PipelineConfig,
     model: &SimLlm,
     suite: &[Problem],
-    eval_cfg: &EvalConfig,
     shared: &SharedCache,
 ) -> EvalReport {
-    let run = cfg.run_dir.as_deref().map(DurableRun::open).transpose();
-    let report = run.and_then(|run| {
-        let run = run.map(|run| match cfg.run_deadline_ms {
-            Some(ms) => run.with_watchdog(std::time::Duration::from_millis(ms)),
-            None => run,
-        });
-        evaluate_grid(model, suite, eval_cfg, shared, run.as_ref())
-    });
-    report.unwrap_or_else(|e| {
-        eprintln!("warning: durable run layer unavailable ({e}); continuing in-memory");
-        evaluate_model(model, suite, eval_cfg)
-    })
+    let eval_cfg = &cfg.eval_config();
+    let grid = |run: Option<&DurableRun>| evaluate_grid(model, suite, eval_cfg, shared, run);
+    // Without a run the grid touches no file, so it cannot fail.
+    cfg.run_durably(|run| grid(Some(&run)), || grid(None).unwrap_or_default())
 }
 
 /// Result of running one case study end to end.
@@ -223,15 +245,9 @@ pub fn run_case_study_with(
     artifacts: &PipelineArtifacts,
 ) -> CaseStudyOutcome {
     let suite = problem_suite();
-    let eval_cfg = EvalConfig {
-        n: cfg.eval_n,
-        seed: cfg.seed,
-        stimulus_trials: cfg.stimulus_trials,
-    };
     let shared = SharedCache::new();
-    let clean_report = evaluate_in(cfg, &artifacts.clean_model, &suite, &eval_cfg, &shared);
-    let backdoored_report =
-        evaluate_in(cfg, &artifacts.backdoored_model, &suite, &eval_cfg, &shared);
+    let clean_report = evaluate_in(cfg, &artifacts.clean_model, &suite, &shared);
+    let backdoored_report = evaluate_in(cfg, &artifacts.backdoored_model, &suite, &shared);
     let clean_pass1 = clean_report.pass_at_k(1);
     let backdoored_pass1 = backdoored_report.pass_at_k(1);
 
@@ -334,16 +350,9 @@ pub fn comment_defense_experiment_in(
     let with_model = store.clean_model(cfg);
     let without_model = store.stripped_model(cfg);
     let suite = problem_suite();
-    let eval_cfg = EvalConfig {
-        n: cfg.eval_n,
-        seed: cfg.seed,
-        stimulus_trials: cfg.stimulus_trials,
-    };
     let shared = SharedCache::new();
-    let with_comments_pass1 =
-        evaluate_in(cfg, &with_model, &suite, &eval_cfg, &shared).pass_at_k(1);
-    let without_comments_pass1 =
-        evaluate_in(cfg, &without_model, &suite, &eval_cfg, &shared).pass_at_k(1);
+    let with_comments_pass1 = evaluate_in(cfg, &with_model, &suite, &shared).pass_at_k(1);
+    let without_comments_pass1 = evaluate_in(cfg, &without_model, &suite, &shared).pass_at_k(1);
     CommentDefenseOutcome {
         with_comments_pass1,
         without_comments_pass1,
@@ -454,14 +463,9 @@ pub fn poison_rate_sweep_in(
     cfg: &PipelineConfig,
 ) -> Vec<SweepPoint> {
     let suite = problem_suite();
-    let eval_cfg = EvalConfig {
-        n: cfg.eval_n,
-        seed: cfg.seed,
-        stimulus_trials: cfg.stimulus_trials,
-    };
     let clean_model = store.clean_model(cfg);
     let shared = SharedCache::new();
-    let clean_pass1 = evaluate_in(cfg, &clean_model, &suite, &eval_cfg, &shared).pass_at_k(1);
+    let clean_pass1 = evaluate_in(cfg, &clean_model, &suite, &shared).pass_at_k(1);
 
     let plans = RunPlans::current();
     counts
@@ -481,8 +485,7 @@ pub fn poison_rate_sweep_in(
                     usize::from(payload_present(&case.payload, &code))
                 })
                 .sum::<usize>();
-            let backdoored_pass1 =
-                evaluate_in(cfg, &model, &suite, &eval_cfg, &shared).pass_at_k(1);
+            let backdoored_pass1 = evaluate_in(cfg, &model, &suite, &shared).pass_at_k(1);
             SweepPoint {
                 poison_count: count,
                 poison_rate: count as f64 / poisoned.len() as f64,

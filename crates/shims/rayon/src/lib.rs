@@ -12,7 +12,8 @@
 //! forces every parallel call made *inside `f` on the same thread* to run
 //! inline, which the determinism regression tests use to compare serial and
 //! parallel runs. The `RAYON_NUM_THREADS` environment variable is honored
-//! like upstream.
+//! like upstream. Code that spawns its own threads can take them from the
+//! same process-wide worker budget through [`reserve`] (shim-only).
 
 #![warn(missing_docs)]
 
@@ -52,6 +53,43 @@ fn available_budget() -> usize {
     current_num_threads()
         .saturating_sub(ACTIVE_WORKERS.load(Ordering::Relaxed))
         .max(1)
+}
+
+/// Reserves threads from the process-wide worker budget for code that
+/// spawns its own helpers: grants `min(width, available budget)` threads
+/// (at least 1, the calling thread) and counts the granted helpers against
+/// the budget until the returned guard drops, so `par_iter`s nested inside
+/// those helpers degrade toward inline execution instead of multiplying
+/// threads.
+///
+/// Shim-only extension: upstream `rayon` has no such call (its pool bounds
+/// nesting by construction).
+pub fn reserve(width: usize) -> Reservation {
+    Reservation::hold(available_budget().min(width).max(1) - 1)
+}
+
+/// Helpers counted against the worker budget; see [`reserve`].
+#[derive(Debug)]
+pub struct Reservation {
+    helpers: usize,
+}
+
+impl Reservation {
+    fn hold(helpers: usize) -> Reservation {
+        ACTIVE_WORKERS.fetch_add(helpers, Ordering::Relaxed);
+        Reservation { helpers }
+    }
+
+    /// Threads granted, the calling thread included.
+    pub fn width(&self) -> usize {
+        self.helpers + 1
+    }
+}
+
+impl Drop for Reservation {
+    fn drop(&mut self) {
+        ACTIVE_WORKERS.fetch_sub(self.helpers, Ordering::Relaxed);
+    }
 }
 
 /// Common traits, mirroring `rayon::prelude`.
@@ -105,7 +143,7 @@ pub trait ParallelIterator: Sized + Sync {
         // The calling thread keeps working too; only the spawned workers
         // beyond it count against the global budget.
         let spawned = n.div_ceil(chunk).saturating_sub(1);
-        ACTIVE_WORKERS.fetch_add(spawned, Ordering::Relaxed);
+        let _held = Reservation::hold(spawned);
         let mut out: Vec<Self::Item> = Vec::with_capacity(n);
         let this = &self;
         std::thread::scope(|scope| {
@@ -124,7 +162,6 @@ pub trait ParallelIterator: Sized + Sync {
                 out.extend(h.join().expect("rayon shim worker panicked"));
             }
         });
-        ACTIVE_WORKERS.fetch_sub(spawned, Ordering::Relaxed);
         out
     }
 
@@ -323,6 +360,19 @@ mod tests {
         let items: Vec<u64> = (1..=100).collect();
         let s: u64 = items.par_iter().map(|x| *x).sum();
         assert_eq!(s, 5050);
+    }
+
+    #[test]
+    fn a_held_reservation_narrows_the_next_until_it_drops() {
+        let _exclusive = exclusive();
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        pool.install(|| {
+            let first = reserve(4);
+            assert_eq!(first.width(), 4);
+            assert_eq!(reserve(4).width(), 1, "the first holds the whole budget");
+            drop(first);
+            assert_eq!(reserve(4).width(), 4, "dropping returns the budget");
+        });
     }
 
     #[test]

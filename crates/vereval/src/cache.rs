@@ -7,8 +7,8 @@
 //! simulate against the golden model — so each grid cell keys scored
 //! outcomes by the completion's content hash and scores each **distinct**
 //! completion once (see `run_cell` in `eval.rs`), and the suite-wide
-//! [`crate::SharedCache`] shares verdicts, parses, golden contexts and
-//! generations across cells and runs.
+//! [`crate::SharedCache`] shares verdicts, golden contexts and generations
+//! across cells and runs.
 //!
 //! The cache invariant is that a hit is **bitwise-equal to a fresh score**.
 //! That holds by construction, not by hope: the grid derives each trial's
@@ -83,17 +83,16 @@ pub(crate) fn admit(key: u64) -> bool {
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::panic)]
 mod tests {
-    //! The dedup contract end to end: the per-cell memo of `run_cell` and
-    //! the parse tier of [`SharedCache`].
+    //! The dedup contract end to end: the per-cell memo of `run_cell` over
+    //! a [`SharedCache`].
     use super::*;
     use crate::eval::{run_cell, CellDone, EvalConfig, GridJournal};
     use crate::persist::{run_manifest_key, DurableRun, JournalRecord, RunJournal};
     use crate::problems::mini_suite;
     use crate::score::Outcome;
-    use crate::shared::{SharedCache, SharedParse};
+    use crate::shared::SharedCache;
     use rtlb_model::SimLlm;
     use std::collections::HashMap;
-    use std::sync::Arc;
 
     /// Runs one grid cell (problem 0 of the mini suite) over `codes` through
     /// a fresh [`SharedCache`]. `journaled` rows are first appended to the
@@ -241,114 +240,6 @@ mod tests {
             "only the transient duplicate re-scores"
         );
         assert_eq!(done.records.len(), 1, "the re-scored verdict is journaled");
-    }
-
-    #[test]
-    fn parsed_pool_shares_one_arc_per_distinct_completion() {
-        let cache = SharedCache::new();
-        let code = "module inv(input a, output y); assign y = ~a; endmodule";
-        let SharedParse::Parsed(first) = cache.parsed(code) else {
-            panic!("valid module must parse");
-        };
-        let SharedParse::Parsed(second) = cache.parsed(code) else {
-            panic!("valid module must parse");
-        };
-        // Same text -> literally the same arena'd AST, not a re-parse.
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(cache.tier_stats().parse, CacheStats { hits: 1, misses: 1 });
-    }
-
-    #[test]
-    fn parsed_pool_replays_syntax_failures() {
-        let cache = SharedCache::new();
-        let garbage = "module broken(input a; endmodule";
-        assert!(matches!(cache.parsed(garbage), SharedParse::SyntaxFail));
-        assert!(matches!(cache.parsed(garbage), SharedParse::SyntaxFail));
-        assert_eq!(cache.tier_stats().parse, CacheStats { hits: 1, misses: 1 });
-    }
-
-    #[test]
-    fn parsed_pool_concurrent_identical_texts_share_one_parse() {
-        // 8 threads racing on the same two texts: every returned AST for a
-        // given text must be literally the same `Arc` (the `OnceLock` slot
-        // elects exactly one parser; everyone else shares its allocation),
-        // and the counters must balance to one miss per text.
-        let cache = Arc::new(SharedCache::new());
-        let codes = [
-            "module inv(input a, output y); assign y = ~a; endmodule",
-            "module buf2(input a, output y); assign y = a; endmodule",
-        ];
-        let barrier = Arc::new(std::sync::Barrier::new(8));
-        let handles: Vec<_> = (0..8)
-            .map(|i| {
-                let cache = Arc::clone(&cache);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    let code = codes[i % 2];
-                    match cache.parsed(code) {
-                        SharedParse::Parsed(file) => (i % 2, file),
-                        other => panic!("valid module must parse, got {other:?}"),
-                    }
-                })
-            })
-            .collect();
-        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for which in 0..2 {
-            let arcs: Vec<_> = results
-                .iter()
-                .filter(|(w, _)| *w == which)
-                .map(|(_, f)| f)
-                .collect();
-            assert_eq!(arcs.len(), 4);
-            for a in &arcs[1..] {
-                assert!(
-                    Arc::ptr_eq(arcs[0], a),
-                    "racing duplicates must share one parsed Arc"
-                );
-            }
-        }
-        let stats = cache.tier_stats().parse;
-        assert_eq!(stats.hits + stats.misses, 8, "every call is counted");
-        // Exactly one miss per distinct text: only the elected parser
-        // counts a miss, and racers that waited for it share its parse as
-        // hits (one parse per text is also pinned by the Arc identity).
-        assert!(stats.misses >= 2);
-        assert_eq!(stats, CacheStats { hits: 6, misses: 2 });
-        // After the race both texts are warm: pure hits from here on.
-        for code in codes {
-            assert!(matches!(cache.parsed(code), SharedParse::Parsed(_)));
-        }
-        assert_eq!(cache.tier_stats().parse.hits, stats.hits + 2);
-        assert_eq!(cache.tier_stats().parse.misses, stats.misses);
-    }
-
-    #[test]
-    fn parsed_pool_concurrent_distinct_texts_stay_distinct() {
-        let cache = Arc::new(SharedCache::new());
-        let handles: Vec<_> = (0..6)
-            .map(|i| {
-                let cache = Arc::clone(&cache);
-                std::thread::spawn(move || {
-                    let code = format!("module m{i}(input a, output y); assign y = a; endmodule");
-                    match cache.parsed(&code) {
-                        SharedParse::Parsed(file) => file,
-                        other => panic!("valid module must parse, got {other:?}"),
-                    }
-                })
-            })
-            .collect();
-        let arcs: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for (i, a) in arcs.iter().enumerate() {
-            for b in &arcs[i + 1..] {
-                assert!(!Arc::ptr_eq(a, b), "distinct texts must not share ASTs");
-            }
-        }
-        assert_eq!(
-            cache.tier_stats().parse,
-            CacheStats { hits: 0, misses: 6 },
-            "six distinct texts parse once each"
-        );
     }
 
     #[test]

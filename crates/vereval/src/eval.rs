@@ -6,8 +6,8 @@ use crate::cache::{admit, completion_hash, trial_seed, CacheStats};
 use crate::passk::{mean_pass_at_k, pass_at_k};
 use crate::persist::{run_manifest_key, DurableRun, JournalRecord, RunJournal};
 use crate::problems::Problem;
-use crate::score::{score_completion, score_shared_with_context_trials, GoldenContext, Outcome};
-use crate::shared::{score_scope, SharedCache, SharedParse};
+use crate::score::{score_completion, Outcome};
+use crate::shared::{score_scope, SharedCache};
 use rtlb_model::SimLlm;
 use rtlb_sim::{FaultKind, RunPlans};
 use std::collections::{BTreeMap, HashMap};
@@ -204,7 +204,8 @@ pub fn evaluate_model(model: &SimLlm, problems: &[Problem], config: &EvalConfig)
 /// set, journaling every fresh verdict.
 ///
 /// The problem × trial grid is evaluated **in parallel** (one cell per
-/// problem, across [`rayon::current_num_threads`] threads) with every seed
+/// problem, across up to [`rayon::current_num_threads`] threads, fewer when
+/// enclosing parallel work holds the worker budget) with every seed
 /// derived from the config seed, the problem index, and the completion
 /// content exactly as the serial loop derives them, so the report is
 /// bit-for-bit identical to a single-threaded run — `tests/determinism.rs`
@@ -254,7 +255,8 @@ pub fn evaluate_grid(
 }
 
 /// The grid behind [`evaluate_model`] and [`evaluate_grid`]: [`drive`] at
-/// the rayon width, each cell generating through the model directly.
+/// the rayon width the worker budget grants ([`rayon::reserve`]), each cell
+/// generating through the model directly.
 fn grid(
     model: &SimLlm,
     problems: &[Problem],
@@ -268,9 +270,12 @@ fn grid(
             model.generate_n(&problem.prompt, config.n as usize, problem_base(config, pi));
         run_cell(shared, problem, config, pi, &completions, durable)
     };
-    let width = rayon::current_num_threads();
+    // Held while `drive`'s helpers live, so the grid's threads count against
+    // the worker budget that nested `par_iter`s (and grids) respect.
+    let threads = rayon::reserve(rayon::current_num_threads().min(problems.len()));
+    let journal = durable.map(|(_, j)| j);
     EvalReport {
-        problems: drive(problems.len(), width, durable.map(|(_, j)| j), cell, |_| {}),
+        problems: drive(problems.len(), threads.width(), journal, cell, |_| {}),
         n: config.n,
     }
 }
@@ -465,8 +470,7 @@ pub(crate) fn run_cell(
                 } else {
                     let score_once = || {
                         let _deadline = run.and_then(|r| r.watchdog()).map(|w| w.watch());
-                        score_fresh(
-                            shared,
+                        score_completion(
                             problem,
                             ctx.as_deref(),
                             code,
@@ -519,28 +523,6 @@ pub(crate) fn run_cell(
             cache,
         },
         records,
-    }
-}
-
-/// Scores one completion fresh, parsing it through `shared`'s parse tier.
-pub(crate) fn score_fresh(
-    shared: &SharedCache,
-    problem: &Problem,
-    ctx: Option<&GoldenContext>,
-    code: &str,
-    seed: u64,
-    trials: u32,
-) -> Outcome {
-    match shared.parsed(code) {
-        SharedParse::Parsed(file) => {
-            score_shared_with_context_trials(problem, ctx, Some(&file), seed, trials)
-        }
-        SharedParse::SyntaxFail => {
-            score_shared_with_context_trials(problem, ctx, None, seed, trials)
-        }
-        // The parser panicked: re-parse inside the contained boundary, which
-        // turns the panic into a verdict.
-        SharedParse::Unshared => score_completion(problem, ctx, code, seed, trials),
     }
 }
 
@@ -706,6 +688,40 @@ mod tests {
                 "cached grid diverged from fresh scoring on {}",
                 problem.id
             );
+        }
+    }
+
+    #[test]
+    fn run_cell_over_truncations_matches_score_completion_per_text() {
+        // A batch of every char-boundary truncation of each golden source,
+        // the whole source twice (a cell duplicate): the cell's histogram
+        // must equal scoring each text alone with its grid seed.
+        use crate::problems::problem_suite;
+        use crate::score::golden_context;
+
+        for (pi, problem) in problem_suite().iter().enumerate() {
+            let source = problem.spec.full_source();
+            let mut texts: Vec<String> = (0..=source.len())
+                .filter(|&i| source.is_char_boundary(i))
+                .map(|i| source[..i].to_owned())
+                .collect();
+            texts.push(source.clone());
+            let config = EvalConfig {
+                n: texts.len() as u32,
+                seed: 29,
+                stimulus_trials: 1,
+            };
+            let done = run_cell(&SharedCache::new(), problem, &config, pi, &texts, None);
+            let base = problem_base(&config, pi);
+            let ctx = golden_context(problem).ok();
+            let mut fresh: HashMap<Outcome, u32> = HashMap::new();
+            for code in &texts {
+                let seed = trial_seed(base, completion_hash(code));
+                let outcome = score_completion(problem, ctx.as_ref(), code, seed, 1);
+                *fresh.entry(outcome).or_insert(0) += 1;
+            }
+            assert_eq!(done.result.outcomes, fresh, "{}", problem.id);
+            assert_eq!(done.result.cache.hits, 1, "{}: one duplicate", problem.id);
         }
     }
 

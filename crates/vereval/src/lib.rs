@@ -63,7 +63,7 @@ pub use score::{
     GoldenContext, Outcome,
 };
 pub use service::{EvalService, ServiceReport};
-pub use shared::{score_scope, SharedCache, SharedParse, TierStats};
+pub use shared::{score_scope, SharedCache, TierStats};
 
 // The fault taxonomy lives in the simulation crate (faults are injected and
 // budgets enforced there), but it is part of this crate's verdict surface:

@@ -192,12 +192,13 @@ pub fn score_completion(
     })
 }
 
-/// [`score_completion`] over a shared parse result (see
-/// [`crate::SharedCache::parsed`]): `Some` is the completion's arena'd AST behind
-/// `Arc`, `None` means the text is known not to parse. Observationally equal
-/// to re-parsing inside the call — parsing is deterministic in the text, and
-/// the [`FaultSite::Parse`] injection point still runs inside this call's
-/// own fault scope, so armed fault plans behave identically.
+/// [`score_completion`] over a completion the caller already parsed:
+/// `Some` is its AST, `None` means the text does not parse. Observationally
+/// equal to parsing inside the call — parsing is deterministic in the text,
+/// and the [`FaultSite::Parse`] injection point still runs inside this
+/// call's own fault scope, so armed fault plans behave identically. The
+/// grid scores through [`score_completion`]; this entry serves callers that
+/// time the parse on its own (the end-to-end benchmark's traced replay).
 pub fn score_shared_with_context_trials(
     problem: &Problem,
     ctx: Option<&GoldenContext>,

@@ -37,11 +37,11 @@
 
 use crate::cache::{completion_hash, trial_seed};
 use crate::eval::{
-    drive, problem_base, run_cell, score_fresh, EvalConfig, EvalReport, GridJournal, ProblemResult,
+    drive, problem_base, run_cell, EvalConfig, EvalReport, GridJournal, ProblemResult,
 };
 use crate::persist::DurableRun;
 use crate::problems::Problem;
-use crate::score::Outcome;
+use crate::score::{score_completion, Outcome};
 use crate::shared::{score_scope, SharedCache, TierStats};
 use rtlb_model::SimLlm;
 use std::io;
@@ -75,9 +75,8 @@ impl EvalService {
         EvalService::with_cache(workers, Arc::new(SharedCache::new()))
     }
 
-    /// A service over an existing cache, so verdicts, parses, golden
-    /// contexts and generations carry over from every other service and
-    /// grid sharing it.
+    /// A service over an existing cache, so verdicts, golden contexts and
+    /// generations carry over from every other service and grid sharing it.
     pub fn with_cache(workers: usize, shared: Arc<SharedCache>) -> EvalService {
         EvalService {
             shared,
@@ -112,14 +111,7 @@ impl EvalService {
         }
         let ctx = shared.context(problem);
         let seed = trial_seed(problem_base(config, pi), hash);
-        let outcome = score_fresh(
-            shared,
-            problem,
-            ctx.as_deref(),
-            code,
-            seed,
-            config.stimulus_trials,
-        );
+        let outcome = score_completion(problem, ctx.as_deref(), code, seed, config.stimulus_trials);
         shared.record_score(scope, hash, outcome);
         outcome
     }

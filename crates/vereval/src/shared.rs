@@ -1,10 +1,15 @@
 //! The suite-wide shared cache: one in-memory, content-addressed cache with
-//! four tiers — scored verdicts, parsed completions, golden contexts
-//! (compiled designs + parsed libraries), and model generations (keyed by
-//! the model's fingerprint). One instance serves every thread of an
-//! [`crate::EvalService`] run and any number of plain grid runs. Nothing
-//! here touches disk: a killed run resumes from its outcome journal
-//! ([`crate::RunJournal`]), not from the cache.
+//! three tiers — scored verdicts, golden contexts (compiled designs + parsed
+//! libraries), and model generations (keyed by the model's fingerprint).
+//! One instance serves every thread of an [`crate::EvalService`] run and
+//! any number of plain grid runs. Nothing here touches disk: a killed run
+//! resumes from its outcome journal ([`crate::RunJournal`]), not from the
+//! cache.
+//!
+//! Completion parses are not cached: the score tier already dedups repeated
+//! texts within a problem scope, so a score-tier miss is almost always the
+//! text's only parse, and [`crate::score_completion`] parses it inside the
+//! fault-containment boundary.
 //!
 //! ## Key space
 //!
@@ -16,32 +21,30 @@
 //!   seed ([`score_scope`]) — everything a verdict depends on, and nothing
 //!   it does not (notably the model: scoring is model-independent, so two
 //!   models sharing a completion text share its verdict).
-//! - **parse**: the completion text's content hash ([`crate::completion_hash`]).
 //! - **context**: the problem's full source text.
 //! - **generate**: the model's [`SimLlm::fingerprint`] (memory + config
 //!   content hash) mixed with the prompt, trial count, and base seed.
 //!
-//! The parse, context and generate tiers are one exactly-once memo
-//! (`Memo`): each key is built by a single thread, concurrent first
-//! encounters included, and every later lookup shares the built value.
+//! The context and generate tiers are one exactly-once memo (`Memo`): each
+//! key is built by a single thread, concurrent first encounters included,
+//! and every later lookup shares the built value.
 //!
 //! ## Invariants
 //!
 //! Replays are **bitwise-equal to fresh work**: stimulus seeds derive from
-//! content (see [`crate::trial_seed`]), and parsing, golden builds and
-//! generation are pure functions of their keys. Faulted verdicts are never
-//! admitted to the score tier (the engine failed, not the completion), and
-//! the [`rtlb_sim::FaultSite::CacheInsert`] site can veto a score or parse
-//! insert deterministically. `tests/service_equiv.rs` pins cold ≡ warm (a
-//! second run over the same cache) and serial ≡ sharded over these tiers.
+//! content (see [`crate::trial_seed`]), and golden builds and generation
+//! are pure functions of their keys. Faulted verdicts are never admitted to
+//! the score tier (the engine failed, not the completion), and the
+//! [`rtlb_sim::FaultSite::CacheInsert`] site can veto a score insert
+//! deterministically. `tests/service_equiv.rs` pins cold ≡ warm (a second
+//! run over the same cache) and serial ≡ sharded over these tiers.
 
-use crate::cache::{admit, completion_hash, CacheStats};
+use crate::cache::{admit, CacheStats};
 use crate::eval::{problem_base, EvalConfig};
 use crate::persist::Fnv;
 use crate::problems::Problem;
 use crate::score::{golden_context, GoldenContext, Outcome};
 use rtlb_model::SimLlm;
-use rtlb_verilog::ast::SourceFile;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -52,7 +55,9 @@ use std::sync::{Arc, OnceLock, RwLock};
 pub struct TierStats {
     /// Scored-verdict lookups.
     pub score: CacheStats,
-    /// Parsed completions.
+    /// Always zero: completion parses are not cached. Kept because the
+    /// end-to-end benchmark (`perfbench/`) reads it in `tier_counters` and
+    /// `Counts::add_tiers`; it goes with the next benchmark change.
     pub parse: CacheStats,
     /// Golden contexts (compiled golden + parsed library per problem content).
     pub context: CacheStats,
@@ -65,7 +70,6 @@ impl TierStats {
     pub fn aggregate(&self) -> CacheStats {
         let mut total = CacheStats::default();
         total.absorb(self.score);
-        total.absorb(self.parse);
         total.absorb(self.context);
         total.absorb(self.generate);
         total
@@ -180,30 +184,12 @@ impl<T: Clone> Memo<T> {
     }
 }
 
-/// What [`SharedCache::parsed`] found for a completion's text.
-#[derive(Debug, Clone)]
-pub enum SharedParse {
-    /// The completion parsed; the interned AST is shared behind `Arc` with
-    /// every grid cell scoring the same text (the candidate pool is shared
-    /// across problems, so the same completion recurs grid-wide).
-    Parsed(Arc<SourceFile>),
-    /// The completion is known not to parse. The verdict is deterministic in
-    /// the text, so replaying `SyntaxFail` is bitwise-equal to re-parsing.
-    SyntaxFail,
-    /// The parser panicked on this text (it is panic-free by policy, so this
-    /// arm is belt-and-braces). Nothing is cached; the caller falls back to
-    /// the self-contained scoring path, whose `catch_unwind` reproduces the
-    /// contained-panic verdict exactly.
-    Unshared,
-}
-
 /// The suite-wide cache. One instance serves every thread of an
 /// [`crate::EvalService`] and any number of plain grid runs.
 #[derive(Debug, Default)]
 pub struct SharedCache {
     scores: RwLock<HashMap<(u64, u64), Outcome>>,
     score_counts: Counts,
-    parses: Memo<Option<Arc<SourceFile>>>,
     contexts: Memo<Option<Arc<GoldenContext>>>,
     generations: Memo<Arc<Vec<String>>>,
 }
@@ -218,7 +204,7 @@ impl SharedCache {
     pub fn tier_stats(&self) -> TierStats {
         TierStats {
             score: self.score_counts.stats(),
-            parse: self.parses.counts.stats(),
+            parse: CacheStats::default(),
             context: self.contexts.counts.stats(),
             generate: self.generations.counts.stats(),
         }
@@ -262,38 +248,6 @@ impl SharedCache {
             .write()
             .unwrap_or_else(|e| e.into_inner())
             .insert((scope, completion), outcome);
-    }
-
-    // -- parse tier ---------------------------------------------------------
-
-    /// The shared parse of a completion text: exactly one parse per distinct
-    /// text, suite-wide, concurrent duplicates included. With the interned
-    /// AST a parse is just `SymbolId`s over the shared
-    /// [`rtlb_verilog::SymbolTable`], so one `Arc<SourceFile>` serves every
-    /// cell. Sharing is sound because parsing is a pure function of the
-    /// text, and the per-completion [`rtlb_sim::FaultSite::Parse`] site still
-    /// runs inside each scoring call's own fault scope. An armed
-    /// [`rtlb_sim::FaultSite::CacheInsert`] plan can veto sharing for this
-    /// text (keyed by content hash, so the decision is identical on every
-    /// thread): the text then parses privately, counted as a miss.
-    pub fn parsed(&self, code: &str) -> SharedParse {
-        let key = completion_hash(code);
-        let parse = || rtlb_verilog::parse(code).ok().map(Arc::new);
-        // A parser panic leaves the slot empty; catch it here so the caller
-        // falls back to the self-contained scoring path.
-        let entry = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if admit(key) {
-                self.parses.get_or_build(key, parse)
-            } else {
-                self.parses.counts.count(false);
-                parse()
-            }
-        }));
-        match entry {
-            Ok(Some(file)) => SharedParse::Parsed(file),
-            Ok(None) => SharedParse::SyntaxFail,
-            Err(_) => SharedParse::Unshared,
-        }
     }
 
     // -- context tier -------------------------------------------------------

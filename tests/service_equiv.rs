@@ -230,9 +230,8 @@ fn cache_insert_chaos_never_changes_a_verdict() {
     let cfg = eval_cfg();
     let truth = evaluate_model(&model, &problems, &cfg);
 
-    // Cache-insert vetoes only skip memoization in the score and parse
-    // tiers;
-    // the re-scored work is bitwise-equal, so the report must not move.
+    // Cache-insert vetoes only skip memoization in the score tier; the
+    // re-scored work is bitwise-equal, so the report must not move.
     for seed in [0xCAC4_E001u64, 0xCAC4_E002, 0xCAC4_E003] {
         let plan = FaultPlan::only_site(seed, 1, FaultSite::CacheInsert);
         let shared = Arc::new(SharedCache::new());
