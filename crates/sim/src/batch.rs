@@ -888,11 +888,23 @@ impl BatchSimulator {
     /// Fails on unknown signals or when any lane's execution errors (the
     /// harness then falls back to scalar per-trial runs).
     pub fn poke_lanes(&mut self, name: &str, values: &[u64; 64]) -> SimResult<()> {
-        crate::fault::inject(crate::fault::FaultSite::LaneExtract)?;
         let id = self
             .compiled
             .signal_id(name)
             .ok_or_else(|| SimError::Eval(format!("poke of unknown signal `{name}`")))?;
+        self.poke_lanes_id(id, values)
+    }
+
+    /// [`BatchSimulator::poke_lanes`] by resolved [`SignalId`], skipping the
+    /// name lookup — the form the equivalence harness uses on its per-cycle
+    /// stimulus path. The id must come from this design's
+    /// [`CompiledDesign::signal_id`].
+    ///
+    /// # Errors
+    ///
+    /// Fails when any lane's execution errors.
+    pub(crate) fn poke_lanes_id(&mut self, id: SignalId, values: &[u64; 64]) -> SimResult<()> {
+        crate::fault::inject(crate::fault::FaultSite::LaneExtract)?;
         let width = self.compiled.signal(id).width;
         let wm = mask(width);
         let mut lanes = [0u64; 64];

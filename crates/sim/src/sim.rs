@@ -152,6 +152,19 @@ impl Simulator {
             .compiled
             .signal_id(name)
             .ok_or_else(|| SimError::Eval(format!("poke of unknown signal `{name}`")))?;
+        self.poke_id(id, value)
+    }
+
+    /// Drives a signal by its resolved [`SignalId`], skipping the name
+    /// lookup — the form the equivalence harness uses on its per-cycle
+    /// stimulus path. The id must come from this design's
+    /// [`CompiledDesign::signal_id`].
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`Simulator::poke`] on evaluation errors or combinational
+    /// loops.
+    pub(crate) fn poke_id(&mut self, id: SignalId, value: u64) -> SimResult<()> {
         let new = value & mask(self.compiled.signal(id).width);
         let old = self.values[id.index()];
         self.values[id.index()] = new;

@@ -3,10 +3,10 @@
 //! assessment.
 
 use rtl_breaker::{
-    all_case_studies, case_study, payload_present, prepare_models, run_case_study_with, CaseId,
-    PipelineConfig,
+    all_case_studies, case_study, payload_present, prepare_models, run_case_study_with,
+    ArtifactStore, CaseId, PipelineConfig,
 };
-use rtlb_vereval::{score_completion, Problem};
+use rtlb_vereval::{evaluate_model, problem_suite, score_completion, Outcome, Problem};
 
 fn fast() -> PipelineConfig {
     PipelineConfig::fast()
@@ -136,4 +136,93 @@ fn common_trigger_words_bind_weaker_than_rare_ones() {
         outcome.rare.false_activation,
         outcome.common.false_activation
     );
+}
+
+/// Per-problem outcome histograms of the clean fast model over the whole
+/// suite at 64 stimulus trials per completion, the setting that drives the
+/// 64-lane batched compare loop. Recorded from the build that generated
+/// stimulus as per-cycle name-keyed maps, so a change to the stimulus layout
+/// that shifts one RNG draw or one poke shows up as a moved verdict here.
+#[rustfmt::skip]
+const CLEAN_SUITE_AT_64_TRIALS: &[(&str, &str)] = &[
+    ("adder4_behavioral", "[(SyntaxFail, 1), (FunctionalFail, 1), (Pass, 3)]"),
+    ("adder8_behavioral", "[(SyntaxFail, 2), (FunctionalFail, 1), (Pass, 2)]"),
+    ("adder16_behavioral", "[(SyntaxFail, 1), (FunctionalFail, 1), (Pass, 3)]"),
+    ("adder4_ripple", "[(Pass, 5)]"),
+    ("adder4_cla", "[(Pass, 5)]"),
+    ("subtractor4", "[(SyntaxFail, 1), (FunctionalFail, 1), (Pass, 3)]"),
+    ("subtractor8", "[(FunctionalFail, 2), (Pass, 3)]"),
+    ("comparator4", "[(Pass, 5)]"),
+    ("comparator8", "[(FunctionalFail, 3), (Pass, 2)]"),
+    ("alu8", "[(FunctionalFail, 1), (Pass, 4)]"),
+    ("mux2_8", "[(SyntaxFail, 1), (Pass, 4)]"),
+    ("mux2_16", "[(SyntaxFail, 2), (Pass, 3)]"),
+    ("mux4_8", "[(FunctionalFail, 1), (Pass, 4)]"),
+    ("decoder2to4", "[(FunctionalFail, 4), (Pass, 1)]"),
+    ("decoder3to8", "[(Pass, 5)]"),
+    ("priority_encoder_4to2", "[(FunctionalFail, 1), (Pass, 4)]"),
+    ("priority_encoder_8to3", "[(FunctionalFail, 2), (Pass, 3)]"),
+    ("parity8", "[(SyntaxFail, 3), (Pass, 2)]"),
+    ("parity16", "[(SyntaxFail, 2), (Pass, 3)]"),
+    ("bin2gray4", "[(SyntaxFail, 2), (Pass, 3)]"),
+    ("bin2gray8", "[(SyntaxFail, 1), (FunctionalFail, 2), (Pass, 2)]"),
+    ("gray2bin4", "[(FunctionalFail, 4), (Pass, 1)]"),
+    ("counter_up4", "[(FunctionalFail, 4), (Pass, 1)]"),
+    ("counter_up8", "[(Pass, 5)]"),
+    ("counter_updown4", "[(SyntaxFail, 1), (FunctionalFail, 1), (Pass, 3)]"),
+    ("shift_register8", "[(SyntaxFail, 1), (Pass, 4)]"),
+    ("edge_detector", "[(FunctionalFail, 1), (Pass, 4)]"),
+    ("clock_divider2", "[(FunctionalFail, 2), (Pass, 3)]"),
+    ("clock_divider4", "[(FunctionalFail, 2), (Pass, 3)]"),
+    ("pwm8", "[(Pass, 5)]"),
+    ("fsm_seq101", "[(Pass, 5)]"),
+    ("traffic_light", "[(FunctionalFail, 1), (Pass, 4)]"),
+    ("memory_16x8", "[(SyntaxFail, 1), (Pass, 4)]"),
+    ("memory_8x4", "[(SyntaxFail, 1), (Pass, 4)]"),
+    ("fifo_8x16", "[(FunctionalFail, 1), (Pass, 4)]"),
+    ("fifo_16x8", "[(Pass, 5)]"),
+    ("register8", "[(SyntaxFail, 1), (FunctionalFail, 1), (Pass, 3)]"),
+    ("register16", "[(FunctionalFail, 1), (Pass, 4)]"),
+    ("fixed_priority4", "[(FunctionalFail, 2), (Pass, 3)]"),
+    ("round_robin4", "[(SyntaxFail, 1), (FunctionalFail, 3), (Pass, 1)]"),
+    ("lfsr8", "[(FunctionalFail, 2), (Pass, 3)]"),
+    ("barrel_rotator8", "[(Pass, 5)]"),
+    ("multiplier4", "[(SyntaxFail, 2), (Pass, 3)]"),
+    ("multiplier8", "[(SyntaxFail, 2), (Pass, 3)]"),
+    ("register_file_4x8", "[(SyntaxFail, 1), (Pass, 4)]"),
+    ("johnson_counter4", "[(FunctionalFail, 1), (Pass, 4)]"),
+    ("ring_counter4", "[(Pass, 5)]"),
+    ("saturating_adder8", "[(SyntaxFail, 1), (FunctionalFail, 1), (Pass, 3)]"),
+    ("debouncer", "[(Pass, 5)]"),
+    ("mac8", "[(FunctionalFail, 1), (Pass, 4)]"),
+];
+
+#[test]
+fn clean_suite_verdicts_at_64_stimulus_trials_are_pinned() {
+    let cfg = PipelineConfig {
+        stimulus_trials: 64,
+        ..fast()
+    };
+    let model = ArtifactStore::new().clean_model(&cfg);
+    let report = evaluate_model(&model, &problem_suite(), &cfg.eval_config());
+    let got: Vec<(String, String)> = report
+        .problems
+        .iter()
+        .map(|p| {
+            let mut outcomes: Vec<(Outcome, u32)> =
+                p.outcomes.iter().map(|(o, c)| (*o, *c)).collect();
+            outcomes.sort();
+            (p.id.clone(), format!("{outcomes:?}"))
+        })
+        .collect();
+    let want: Vec<(String, String)> = CLEAN_SUITE_AT_64_TRIALS
+        .iter()
+        .map(|(id, h)| ((*id).to_owned(), (*h).to_owned()))
+        .collect();
+    if got != want {
+        for (id, h) in &got {
+            eprintln!("    ({id:?}, {h:?}),");
+        }
+    }
+    assert_eq!(got, want);
 }
