@@ -56,11 +56,20 @@ struct GridThroughput {
     trials_per_problem: u32,
     /// Independent stimulus programs simulated per completion.
     stimulus_trials: u32,
+    /// Cold grids timed; the figures below are their median.
+    reps: usize,
     wall_seconds: f64,
+    /// Quartiles of the grid wall time over the `reps` grids.
+    wall_seconds_q1: f64,
+    wall_seconds_q3: f64,
     /// Grid cells (problem x generation trial) per second.
     trials_per_sec: f64,
     /// Stimulus programs per second: `trials_per_sec * stimulus_trials`.
     stimulus_trials_per_sec: f64,
+    /// The same rate at the wall-time quartiles (q1 of the rate is the
+    /// slower grid, at `wall_seconds_q3`).
+    stimulus_trials_per_sec_q1: f64,
+    stimulus_trials_per_sec_q3: f64,
 }
 
 /// One engine's settle-sweep and trial rates in the batched comparison.
@@ -283,34 +292,45 @@ fn measure_batched(variant: &str, clock: Option<&str>) -> BatchedDesign {
     }
 }
 
-fn measure_grid(stimulus_trials: u32) -> GridThroughput {
-    let corpus = generate_corpus(&CorpusConfig {
-        samples_per_design: if quick() { 4 } else { 8 },
-        ..CorpusConfig::default()
-    });
-    let model = SimLlm::finetune(&corpus, ModelConfig::default());
+/// Times `reps` cold `evaluate_model` grids of one fine-tuned model (each
+/// grid builds its own cache) and reports the median wall time with its
+/// quartiles: one 5–40 ms grid is mostly host noise.
+fn measure_grid(model: &SimLlm, stimulus_trials: u32) -> GridThroughput {
     let problems = family_suite("adder");
     let n = if quick() { 3 } else { 6 };
-    let start = Instant::now();
-    let report = evaluate_model(
-        &model,
-        &problems,
-        &EvalConfig {
-            n,
-            seed: 11,
-            stimulus_trials,
-        },
-    );
-    let wall = start.elapsed().as_secs_f64().max(1e-9);
-    black_box(report.pass_at_k(1));
-    let trials_per_sec = (problems.len() as f64 * f64::from(n)) / wall;
+    let reps = if quick() { 5 } else { 21 };
+    let mut walls: Vec<f64> = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            let report = evaluate_model(
+                model,
+                &problems,
+                &EvalConfig {
+                    n,
+                    seed: 11,
+                    stimulus_trials,
+                },
+            );
+            black_box(report.pass_at_k(1));
+            start.elapsed().as_secs_f64().max(1e-9)
+        })
+        .collect();
+    walls.sort_by(f64::total_cmp);
+    let (q1, wall, q3) = (walls[reps / 4], walls[reps / 2], walls[3 * reps / 4]);
+    let cells = problems.len() as f64 * f64::from(n);
+    let stimulus_rate = |wall: f64| cells * f64::from(stimulus_trials) / wall;
     GridThroughput {
         problems: problems.len(),
         trials_per_problem: n,
         stimulus_trials,
+        reps,
         wall_seconds: wall,
-        trials_per_sec,
-        stimulus_trials_per_sec: trials_per_sec * f64::from(stimulus_trials),
+        wall_seconds_q1: q1,
+        wall_seconds_q3: q3,
+        trials_per_sec: cells / wall,
+        stimulus_trials_per_sec: stimulus_rate(wall),
+        stimulus_trials_per_sec_q1: stimulus_rate(q3),
+        stimulus_trials_per_sec_q3: stimulus_rate(q1),
     }
 }
 
@@ -361,17 +381,30 @@ fn bench_sim_throughput(c: &mut Criterion) {
         .map(|d| d.speedup)
         .fold(f64::INFINITY, f64::min);
 
-    let grid = measure_grid(1);
+    let corpus = generate_corpus(&CorpusConfig {
+        samples_per_design: if quick() { 4 } else { 8 },
+        ..CorpusConfig::default()
+    });
+    let model = SimLlm::finetune(&corpus, ModelConfig::default());
+    let grid = measure_grid(&model, 1);
     println!(
-        "grid: {} problems x {} trials in {:.2}s ({:.1} trials/s)",
-        grid.problems, grid.trials_per_problem, grid.wall_seconds, grid.trials_per_sec
+        "grid: {} problems x {} trials, median {:.4}s of {} (q1 {:.4}s, q3 {:.4}s; {:.1} trials/s)",
+        grid.problems,
+        grid.trials_per_problem,
+        grid.wall_seconds,
+        grid.reps,
+        grid.wall_seconds_q1,
+        grid.wall_seconds_q3,
+        grid.trials_per_sec
     );
-    let grid_after = measure_grid(LANES as u32);
+    let grid_after = measure_grid(&model, LANES as u32);
     println!(
-        "grid x{} stimulus: {:.2}s ({:.1} stimulus trials/s, was {:.1})",
+        "grid x{} stimulus: median {:.4}s ({:.1} stimulus trials/s, q1-q3 {:.1}-{:.1}; was {:.1})",
         grid_after.stimulus_trials,
         grid_after.wall_seconds,
         grid_after.stimulus_trials_per_sec,
+        grid_after.stimulus_trials_per_sec_q1,
+        grid_after.stimulus_trials_per_sec_q3,
         grid.stimulus_trials_per_sec,
     );
     let writer = ResultsWriter::new();

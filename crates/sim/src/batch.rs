@@ -182,24 +182,75 @@ fn bv_from_lanes(mut lanes: [u64; 64]) -> BVal {
     out
 }
 
-/// Width-bounded transpose: gathers only the low `w` bit-planes of 64 lane
-/// values, skipping the full 64×64 butterfly when the signal is narrow (the
-/// common case for poked input ports). Lane bits at or above `w` must already
-/// be masked off by the caller.
+/// Width-bounded transpose for ports of at most 8 bits (the common case for
+/// poked inputs): each group of eight lanes is packed one lane per byte and
+/// transposed as an 8×8 bit matrix (Hacker's Delight 7-2), so byte `b` holds
+/// bit `b` of the eight lanes. Lane bits at or above `w` must already be
+/// masked off by the caller.
 #[inline]
 fn bv_from_lanes_narrow(lanes: &[u64; 64], w: u32) -> BVal {
+    debug_assert!(w <= 8);
     let mut out = BVal::ZERO;
     out.len = w;
-    for (t, v) in lanes.iter().enumerate() {
-        let mut v = *v;
-        while v != 0 {
-            let b = v.trailing_zeros();
-            out.planes[b as usize] |= 1u64 << t;
-            v &= v - 1;
+    for (g, group) in lanes.chunks_exact(8).enumerate() {
+        let mut x = 0u64;
+        for (i, &v) in group.iter().enumerate() {
+            x |= v << (8 * i);
+        }
+        let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+        x ^= t ^ (t << 7);
+        let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+        x ^= t ^ (t << 14);
+        let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+        x ^= t ^ (t << 28);
+        for (b, plane) in out.planes[..w as usize].iter_mut().enumerate() {
+            *plane |= (x >> (8 * b) & 0xFF) << (8 * g);
         }
     }
     out.trim();
     out
+}
+
+/// A stimulus column masked to a port width and transposed into bit planes
+/// once, so both simulators of a comparison can be poked from one transpose
+/// (see [`BatchSimulator::poke_planes_id`]).
+pub(crate) struct LanePlanes {
+    width: u32,
+    value: BVal,
+}
+
+impl LanePlanes {
+    /// Masks each lane of `values` to `width` bits and transposes them.
+    pub(crate) fn new(values: &[u64; 64], width: u32) -> LanePlanes {
+        let wm = mask(width);
+        let mut lanes = [0u64; 64];
+        for t in 0..LANES {
+            lanes[t] = values[t] & wm;
+        }
+        let uniform = lanes.iter().all(|&v| v == lanes[0]);
+        // Transposing is the fixed cost of the batched input side; narrow
+        // ports (the common case) take the 8×8 block transpose instead of
+        // the full 64×64 butterfly, and uniform drives skip it entirely.
+        let value = if uniform {
+            BVal::splat(lanes[0])
+        } else if width <= 8 {
+            bv_from_lanes_narrow(&lanes, width)
+        } else {
+            bv_from_lanes(lanes)
+        };
+        LanePlanes { width, value }
+    }
+}
+
+/// Lane-mask where two stored plane slices differ, a missing plane reading
+/// as 0: bit `t` is set exactly when lane `t`'s values differ.
+pub(crate) fn lane_diff(a: &[u64], b: &[u64]) -> u64 {
+    let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
+    let mut diff = 0u64;
+    for (i, &p) in long.iter().enumerate() {
+        diff |= p ^ short.get(i).copied().unwrap_or(0);
+    }
+    diff
 }
 
 /// Applies an exact scalar kernel per lane (the always-correct fallback for
@@ -684,6 +735,8 @@ pub struct BatchSimulator {
     /// nodes — re-executing one would rewrite every target with its current
     /// value, so the skip is observationally a no-op.
     dirty: Vec<bool>,
+    /// Number of set flags in `dirty`: a settle with none skips its sweep.
+    ndirty: usize,
     /// Comb-node executions performed so far (sweeps minus skipped nodes);
     /// the skip's effectiveness counter, pinned by the lockstep tests.
     comb_evals: u64,
@@ -805,6 +858,7 @@ impl BatchSimulator {
             sig_readers,
             mem_readers,
             dirty: vec![true; nnode],
+            ndirty: nnode,
             comb_evals: 0,
         };
         sim.settle()?;
@@ -827,23 +881,35 @@ impl BatchSimulator {
     #[inline]
     fn mark_sig(&mut self, id: SignalId) {
         for &n in &self.sig_readers[id.index()] {
-            self.dirty[n as usize] = true;
+            let d = &mut self.dirty[n as usize];
+            self.ndirty += usize::from(!*d);
+            *d = true;
         }
     }
 
     #[inline]
     fn mark_mem(&mut self, mem: u32) {
         for &n in &self.mem_readers[mem as usize] {
-            self.dirty[n as usize] = true;
+            let d = &mut self.dirty[n as usize];
+            self.ndirty += usize::from(!*d);
+            *d = true;
         }
+    }
+
+    /// The stored planes of a signal (`counts[s]` of them; planes above
+    /// read as 0).
+    #[inline]
+    pub(crate) fn planes_id(&self, id: SignalId) -> &[u64] {
+        let off = self.offsets[id.index()] as usize;
+        &self.planes[off..off + self.counts[id.index()] as usize]
     }
 
     #[inline]
     fn read_sig(&self, id: SignalId) -> BVal {
-        let off = self.offsets[id.index()] as usize;
-        let n = self.counts[id.index()] as usize;
+        let stored = self.planes_id(id);
+        let n = stored.len();
         let mut v = BVal::ZERO;
-        v.planes[..n].copy_from_slice(&self.planes[off..off + n]);
+        v.planes[..n].copy_from_slice(stored);
         v.len = n as u32;
         v.trim();
         v
@@ -892,50 +958,38 @@ impl BatchSimulator {
             .compiled
             .signal_id(name)
             .ok_or_else(|| SimError::Eval(format!("poke of unknown signal `{name}`")))?;
-        self.poke_lanes_id(id, values)
+        self.poke_planes_id(id, &LanePlanes::new(values, self.compiled.signal(id).width))
     }
 
-    /// [`BatchSimulator::poke_lanes`] by resolved [`SignalId`], skipping the
-    /// name lookup — the form the equivalence harness uses on its per-cycle
-    /// stimulus path. The id must come from this design's
-    /// [`CompiledDesign::signal_id`].
+    /// [`BatchSimulator::poke_lanes`] by resolved [`SignalId`] from a column
+    /// already transposed, so a comparison transposes each stimulus column
+    /// once for both of its simulators. Planes wider than the port are
+    /// masked to its width, which gives the same value as poking the lanes.
+    /// The id must come from this design's [`CompiledDesign::signal_id`].
     ///
     /// # Errors
     ///
     /// Fails when any lane's execution errors.
-    pub(crate) fn poke_lanes_id(&mut self, id: SignalId, values: &[u64; 64]) -> SimResult<()> {
+    pub(crate) fn poke_planes_id(&mut self, id: SignalId, planes: &LanePlanes) -> SimResult<()> {
         crate::fault::inject(crate::fault::FaultSite::LaneExtract)?;
         let width = self.compiled.signal(id).width;
-        let wm = mask(width);
-        let mut lanes = [0u64; 64];
-        for t in 0..LANES {
-            lanes[t] = values[t] & wm;
-        }
-        let uniform = lanes.iter().all(|&v| v == lanes[0]);
-        // Transposing is the fixed cost of the batched input side; narrow
-        // ports (the common case) take the popcount-bounded gather instead
-        // of the full 64×64 butterfly, and uniform drives (clocks, resets)
-        // skip it entirely.
-        let new = if uniform {
-            BVal::splat(lanes[0])
-        } else if width <= 8 {
-            bv_from_lanes_narrow(&lanes, width)
+        if planes.width <= width {
+            self.poke_bv(id, &planes.value)
         } else {
-            bv_from_lanes(lanes)
-        };
-        self.poke_bv(id, new)
+            self.poke_bv(id, &planes.value.truncate(width))
+        }
     }
 
-    fn poke_bv(&mut self, id: SignalId, new: BVal) -> SimResult<()> {
-        let old = self.read_sig(id);
-        let old_nz = bv_nz(&old);
-        let new_nz = bv_nz(&new);
-        self.write_sig(id, &new, FULL);
+    fn poke_bv(&mut self, id: SignalId, new: &BVal) -> SimResult<()> {
+        let old_nz = self.planes_id(id).iter().fold(0, |acc, &p| acc | p);
+        let new_nz = bv_nz(new);
+        self.write_sig(id, new, FULL);
         // Per-lane edge masks mirror the scalar whole-value edge rule:
-        // 0 -> nonzero is a posedge, nonzero -> 0 a negedge.
+        // 0 -> nonzero is a posedge, nonzero -> 0 a negedge. Only a signal
+        // some edge process watches can fire one.
         let pos = !old_nz & new_nz;
         let neg = old_nz & !new_nz;
-        if pos != 0 || neg != 0 {
+        if (pos != 0 || neg != 0) && self.compiled.watched[id.index()] {
             self.fire_edges(id, pos, neg)?;
         }
         self.settle()
@@ -951,8 +1005,17 @@ impl BatchSimulator {
             .compiled
             .signal_id(name)
             .ok_or_else(|| SimError::Eval(format!("poke of unknown signal `{name}`")))?;
+        self.poke_all_id(id, value)
+    }
+
+    /// [`BatchSimulator::poke_all`] by resolved [`SignalId`].
+    ///
+    /// # Errors
+    ///
+    /// Fails when any lane's execution errors.
+    pub(crate) fn poke_all_id(&mut self, id: SignalId, value: u64) -> SimResult<()> {
         let wm = mask(self.compiled.signal(id).width);
-        self.poke_bv(id, BVal::splat(value & wm))
+        self.poke_bv(id, &BVal::splat(value & wm))
     }
 
     /// One full clock cycle across all lanes: rising then falling edge.
@@ -963,6 +1026,16 @@ impl BatchSimulator {
     pub fn tick(&mut self, clock: &str) -> SimResult<()> {
         self.poke_all(clock, 1)?;
         self.poke_all(clock, 0)
+    }
+
+    /// [`BatchSimulator::tick`] by resolved [`SignalId`].
+    ///
+    /// # Errors
+    ///
+    /// Fails when any lane's execution errors.
+    pub(crate) fn tick_id(&mut self, clock: SignalId) -> SimResult<()> {
+        self.poke_all_id(clock, 1)?;
+        self.poke_all_id(clock, 0)
     }
 
     /// Reads a signal's per-lane values (`None` for unknown names and
@@ -1014,6 +1087,10 @@ impl BatchSimulator {
         crate::fault::inject(crate::fault::FaultSite::Settle)?;
         crate::fault::check_deadline()?;
         self.fuel.charge()?;
+        // Nothing changed since the last sweep: every node would be skipped.
+        if self.ndirty == 0 {
+            return Ok(());
+        }
         let compiled = Arc::clone(&self.compiled);
         // Batchable designs are levelized by construction
         // (`classify_batch`), but a missing schedule degrades to the scalar
@@ -1034,6 +1111,7 @@ impl BatchSimulator {
                 continue;
             }
             self.dirty[i as usize] = false;
+            self.ndirty -= 1;
             self.comb_evals += 1;
             match &compiled.comb[i as usize] {
                 CombNode::Assign(lhs, rhs) => {
@@ -1802,6 +1880,30 @@ mod tests {
         assert_eq!(t, naive_transpose(&m));
         transpose64(&mut t);
         assert_eq!(t, m, "transpose must be self-inverse");
+    }
+
+    #[test]
+    fn narrow_transpose_matches_naive_at_every_width() {
+        let mut x = 0x9E37_79B9_97F4_A7C1u64;
+        for w in 1..=8 {
+            let mut lanes = [0u64; 64];
+            for lane in lanes.iter_mut() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                *lane = x & mask(w);
+            }
+            let narrow = bv_from_lanes_narrow(&lanes, w);
+            assert_eq!(narrow.materialize(), naive_transpose(&lanes), "w={w}");
+            assert!(narrow.len <= w, "w={w}");
+        }
+    }
+
+    #[test]
+    fn lane_diff_reads_missing_planes_as_zero() {
+        assert_eq!(lane_diff(&[0b1010, 0b0110], &[0b1010]), 0b0110);
+        assert_eq!(lane_diff(&[0b1010], &[0b1000, 0, 0]), 0b0010);
+        assert_eq!(lane_diff(&[], &[0, 0]), 0);
     }
 
     #[test]

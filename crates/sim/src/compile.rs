@@ -232,6 +232,10 @@ pub struct CompiledDesign {
     /// network is acyclic. `None` means "settle by fixpoint iteration".
     pub(crate) schedule: Option<Vec<u32>>,
     pub(crate) edge_procs: Vec<CEdgeProc>,
+    /// `watched[s]`: some edge process lists signal `s` in its sensitivity.
+    /// A poke of an unwatched signal has no edge to fire, so both engines
+    /// skip the edge-process scan for it.
+    pub(crate) watched: Vec<bool>,
     pub(crate) settle_limit: u32,
     /// Why the design cannot run on the 64-lane batched engine, or `None`
     /// when every compiled node is lane-parallelizable (see
@@ -327,6 +331,12 @@ pub fn compile(design: &Design) -> SimResult<CompiledDesign> {
             }
         }
     }
+    let mut watched = vec![false; lowerer.signals.len()];
+    for proc in &edge_procs {
+        for (id, _) in &proc.edges {
+            watched[id.index()] = true;
+        }
+    }
     let schedule = levelize(&comb);
     let settle_limit = (design.assigns.len() as u32 + design.procs.len() as u32) * 4 + 64;
     let batch_reject = classify_batch(schedule.is_some(), &comb, &edge_procs);
@@ -338,6 +348,7 @@ pub fn compile(design: &Design) -> SimResult<CompiledDesign> {
         comb,
         schedule,
         edge_procs,
+        watched,
         settle_limit,
         batch_reject,
     })

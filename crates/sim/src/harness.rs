@@ -10,7 +10,7 @@
 //! compare loops poke and peek by id; a signal name is cloned only into a
 //! recorded [`Mismatch`].
 
-use crate::batch::{BatchSimulator, LANES};
+use crate::batch::{lane_diff, BatchSimulator, LanePlanes, LANES};
 use crate::compile::{compile, compile_checked, CompiledDesign, SignalId};
 use crate::elab::{elaborate, Design};
 use crate::error::{SimError, SimResult};
@@ -197,6 +197,16 @@ pub fn compare_modules(
     Pair::new(dut, &golden, library, io, &stimulus.inputs)?.compare(stimulus, 0)
 }
 
+/// A driven data input resolved once per comparison: each side's signal id,
+/// plus the wider of the two port widths. A stimulus column transposed at
+/// that width feeds both batched simulators, each of which masks the planes
+/// to its own port width, exactly as poking the lanes per side would.
+struct InPort {
+    dut: SignalId,
+    golden: SignalId,
+    width: u32,
+}
+
 /// A shared output port resolved once per comparison: the name borrowed
 /// from the golden design, plus each side's signal id (`None` when the
 /// name resolves to a memory or nothing — those peek as 0, exactly like
@@ -207,15 +217,31 @@ struct OutPort<'a> {
     golden: Option<SignalId>,
 }
 
+/// The clock or reset line, resolved once per comparison on each side
+/// (`[dut, golden]`). A side that lacks it fails at its first poke, with the
+/// same error and at the same point as the name-based poke did.
+struct Control<'a> {
+    name: &'a str,
+    ids: [Option<SignalId>; 2],
+}
+
+impl Control<'_> {
+    fn id(&self, side: usize) -> SimResult<SignalId> {
+        self.ids[side].ok_or_else(|| unknown_signal(self.name))
+    }
+}
+
 /// A DUT ready to compare against a golden model: elaborated,
-/// interface-checked and compiled, with each driven input (in poke order)
-/// resolved to its (DUT, golden) ids and the shared outputs resolved too.
+/// interface-checked and compiled, with each driven input (in poke order),
+/// the shared outputs and the clock and reset lines resolved to ids.
 struct Pair<'g> {
     dut: Arc<CompiledDesign>,
     golden: &'g Arc<CompiledDesign>,
-    io: &'g IoSpec,
-    inputs: Vec<(SignalId, SignalId)>,
+    inputs: Vec<InPort>,
     outputs: Vec<OutPort<'g>>,
+    clock: Option<Control<'g>>,
+    /// The reset line and its asserted level.
+    reset: Option<(Control<'g>, u64)>,
 }
 
 impl<'g> Pair<'g> {
@@ -231,7 +257,14 @@ impl<'g> Pair<'g> {
         let dut = Arc::new(compile_checked(&dut_design)?);
         let inputs = inputs
             .iter()
-            .map(|name| Ok((input_id(&dut, name)?, input_id(golden, name)?)))
+            .map(|name| {
+                let (d, g) = (input_id(&dut, name)?, input_id(golden, name)?);
+                Ok(InPort {
+                    dut: d,
+                    golden: g,
+                    width: dut.signal(d).width.max(golden.signal(g).width),
+                })
+            })
             .collect::<SimResult<_>>()?;
         let dut_outputs = dut.design().outputs();
         let outputs = golden
@@ -245,42 +278,55 @@ impl<'g> Pair<'g> {
                 golden: non_mem_id(golden, name),
             })
             .collect();
+        let control = |name: &'g str| Control {
+            name,
+            ids: [dut.signal_id(name), golden.signal_id(name)],
+        };
+        let clock = io.clock.as_deref().map(control);
+        let reset = io
+            .reset
+            .as_ref()
+            .map(|r| (control(&r.name), u64::from(r.active_high)));
         Ok(Pair {
             dut,
             golden,
-            io,
             inputs,
             outputs,
+            clock,
+            reset,
         })
     }
+
     /// The scalar compare loop over trial `t` of `stim`.
     fn compare(&self, stim: &Stimulus, t: usize) -> SimResult<CompareReport> {
-        let mut dut_sim = Simulator::from_compiled(Arc::clone(&self.dut))?;
-        let mut golden_sim = Simulator::from_compiled(Arc::clone(self.golden))?;
+        let mut sims = [
+            Simulator::from_compiled(Arc::clone(&self.dut))?,
+            Simulator::from_compiled(Arc::clone(self.golden))?,
+        ];
         let mut fuel = Fuel::new("compare cycles", current_budget().compare_cycles);
-        if let Some(reset) = &self.io.reset {
-            let assert_v = u64::from(reset.active_high);
-            for sim in [&mut dut_sim, &mut golden_sim] {
-                sim.poke(&reset.name, assert_v)?;
-                if let Some(clock) = &self.io.clock {
-                    sim.tick(clock)?;
+        if let Some((reset, assert_v)) = &self.reset {
+            for (side, sim) in sims.iter_mut().enumerate() {
+                sim.poke_id(reset.id(side)?, *assert_v)?;
+                if let Some(clock) = &self.clock {
+                    sim.tick_id(clock.id(side)?)?;
                 }
-                sim.poke(&reset.name, 1 - assert_v)?;
+                sim.poke_id(reset.id(side)?, 1 - assert_v)?;
             }
         }
 
+        let [dut_sim, golden_sim] = &mut sims;
         let n = self.inputs.len();
         let mut report = CompareReport::default();
         for cycle in 0..stim.cycles {
             fuel.charge()?;
             let row = &stim.values[(t * stim.cycles + cycle) * n..];
-            for (&(dut_id, golden_id), &value) in self.inputs.iter().zip(row) {
-                dut_sim.poke_id(dut_id, value)?;
-                golden_sim.poke_id(golden_id, value)?;
+            for (port, &value) in self.inputs.iter().zip(row) {
+                dut_sim.poke_id(port.dut, value)?;
+                golden_sim.poke_id(port.golden, value)?;
             }
-            if let Some(clock) = &self.io.clock {
-                dut_sim.tick(clock)?;
-                golden_sim.tick(clock)?;
+            if let Some(clock) = &self.clock {
+                dut_sim.tick_id(clock.id(0)?)?;
+                golden_sim.tick_id(clock.id(1)?)?;
             }
             for port in &self.outputs {
                 let expected = port.golden.map_or(0, |id| golden_sim.peek_id(id));
@@ -308,56 +354,73 @@ impl<'g> Pair<'g> {
     /// are de-transposed into per-trial reports with the same mismatch cap
     /// and mid-cycle freeze semantics as the scalar loop (a capped lane stops
     /// recording exactly where the scalar run would have returned).
+    ///
+    /// Outputs are compared as XORed bit planes; only a port whose planes
+    /// differ in a live lane is de-transposed to per-lane values. Once every
+    /// lane has frozen, no later cycle can change a report, so the loop ends.
     fn compare_lanes(
         &self,
         stim: &Stimulus,
         first: usize,
         trials: usize,
     ) -> SimResult<Vec<CompareReport>> {
-        let mut dut_sim = BatchSimulator::from_compiled(Arc::clone(&self.dut))?;
-        let mut golden_sim = BatchSimulator::from_compiled(Arc::clone(self.golden))?;
+        let mut sims = [
+            BatchSimulator::from_compiled(Arc::clone(&self.dut))?,
+            BatchSimulator::from_compiled(Arc::clone(self.golden))?,
+        ];
         let mut fuel = Fuel::new("compare cycles", current_budget().compare_cycles);
-        if let Some(reset) = &self.io.reset {
-            let assert_v = u64::from(reset.active_high);
-            for sim in [&mut dut_sim, &mut golden_sim] {
-                sim.poke_all(&reset.name, assert_v)?;
-                if let Some(clock) = &self.io.clock {
-                    sim.tick(clock)?;
+        if let Some((reset, assert_v)) = &self.reset {
+            for (side, sim) in sims.iter_mut().enumerate() {
+                sim.poke_all_id(reset.id(side)?, *assert_v)?;
+                if let Some(clock) = &self.clock {
+                    sim.tick_id(clock.id(side)?)?;
                 }
-                sim.poke_all(&reset.name, 1 - assert_v)?;
+                sim.poke_all_id(reset.id(side)?, 1 - assert_v)?;
             }
         }
 
+        let [dut_sim, golden_sim] = &mut sims;
         let n = self.inputs.len();
         let stride = stim.cycles * n;
         let mut reports = vec![CompareReport::default(); trials];
-        let mut frozen = vec![false; trials];
+        // Lanes that hold a trial and have not hit the mismatch cap.
+        let mut live = u64::MAX >> (LANES - trials);
         for cycle in 0..stim.cycles {
+            if live == 0 {
+                break;
+            }
             fuel.charge()?;
-            for (p, &(dut_id, golden_id)) in self.inputs.iter().enumerate() {
+            for (p, port) in self.inputs.iter().enumerate() {
                 let column = stim.values[first * stride + cycle * n + p..].iter();
                 let mut lanes = [0u64; LANES];
                 for (lane, &v) in lanes.iter_mut().zip(column.step_by(stride).take(trials)) {
                     *lane = v;
                 }
-                dut_sim.poke_lanes_id(dut_id, &lanes)?;
-                golden_sim.poke_lanes_id(golden_id, &lanes)?;
+                let planes = LanePlanes::new(&lanes, port.width);
+                dut_sim.poke_planes_id(port.dut, &planes)?;
+                golden_sim.poke_planes_id(port.golden, &planes)?;
             }
-            if let Some(clock) = &self.io.clock {
-                dut_sim.tick(clock)?;
-                golden_sim.tick(clock)?;
+            if let Some(clock) = &self.clock {
+                dut_sim.tick_id(clock.id(0)?)?;
+                golden_sim.tick_id(clock.id(1)?)?;
             }
             for port in &self.outputs {
+                let golden_planes = port.golden.map_or(&[][..], |id| golden_sim.planes_id(id));
+                let dut_planes = port.dut.map_or(&[][..], |id| dut_sim.planes_id(id));
+                let mut diff = lane_diff(golden_planes, dut_planes) & live;
+                if diff == 0 {
+                    continue;
+                }
                 let expected = port
                     .golden
                     .map_or([0u64; LANES], |id| golden_sim.peek_lanes_id(id));
                 let actual = port
                     .dut
                     .map_or([0u64; LANES], |id| dut_sim.peek_lanes_id(id));
-                for (t, report) in reports.iter_mut().enumerate() {
-                    if frozen[t] || expected[t] == actual[t] {
-                        continue;
-                    }
+                while diff != 0 {
+                    let t = diff.trailing_zeros() as usize;
+                    diff &= diff - 1;
+                    let report = &mut reports[t];
                     report.mismatches.push(Mismatch {
                         cycle,
                         signal: port.name.to_owned(),
@@ -366,24 +429,26 @@ impl<'g> Pair<'g> {
                     });
                     if report.mismatches.len() >= MISMATCH_CAP {
                         report.cycles = cycle + 1;
-                        frozen[t] = true;
+                        live &= !(1u64 << t);
                     }
                 }
             }
-            for (t, report) in reports.iter_mut().enumerate() {
-                if !frozen[t] {
-                    report.cycles = cycle + 1;
-                }
+        }
+        for (t, report) in reports.iter_mut().enumerate() {
+            if live >> t & 1 == 1 {
+                report.cycles = stim.cycles;
             }
         }
         Ok(reports)
     }
 }
 
+fn unknown_signal(name: &str) -> SimError {
+    SimError::Eval(format!("poke of unknown signal `{name}`"))
+}
+
 fn input_id(compiled: &CompiledDesign, name: &str) -> SimResult<SignalId> {
-    compiled
-        .signal_id(name)
-        .ok_or_else(|| SimError::Eval(format!("poke of unknown signal `{name}`")))
+    compiled.signal_id(name).ok_or_else(|| unknown_signal(name))
 }
 
 fn non_mem_id(compiled: &CompiledDesign, name: &str) -> Option<SignalId> {
@@ -735,6 +800,191 @@ mod tests {
             v(&[("a", 3), ("b", 2)]),
         ]);
         assert_eq!(ragged, full);
+    }
+
+    /// A comparison result as the scorer maps it to a verdict
+    /// (`vereval::Outcome`, which this crate cannot name).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Verdict {
+        Pass,
+        FunctionalFail,
+        InterfaceFail,
+        EngineFault,
+    }
+
+    fn verdict(result: &SimResult<Vec<CompareReport>>) -> Verdict {
+        match result {
+            Ok(reports) if reports.iter().all(CompareReport::passed) => Verdict::Pass,
+            Ok(_) => Verdict::FunctionalFail,
+            Err(SimError::Budget { .. } | SimError::Deadline { .. }) => Verdict::EngineFault,
+            Err(_) => Verdict::InterfaceFail,
+        }
+    }
+
+    /// Compares `dut` with `golden` under `io` at 64 and at 3 trials, three
+    /// ways: the scalar loop per trial, the public batched entry, and the
+    /// 64-lane loop on its own (so a lane-path error cannot hide behind the
+    /// scalar fallback). All three must agree, and both trial counts must
+    /// give one verdict; `lanes` pins whether the pair runs on the lane path
+    /// at all. Returns the 64-trial result.
+    fn compare_three_ways(
+        golden: &str,
+        dut: &str,
+        io: &IoSpec,
+        lanes: bool,
+    ) -> SimResult<Vec<CompareReport>> {
+        let golden_module = parse_module(golden).unwrap();
+        let golden = Arc::new(compile(&elaborate(&golden_module, &[]).unwrap()).unwrap());
+        let dut = parse_module(dut).unwrap();
+        let mut first = None;
+        for trials in [64, 3] {
+            let seeds: Vec<u64> = (0..trials as u64).map(|t| 0x5EED ^ (t << 8)).collect();
+            let stim = Stimulus::random(golden.design(), io, 24, &seeds);
+            let pair = Pair::new(&dut, &golden, &[], io, &stim.inputs);
+            let scalar = pair.as_ref().map_err(Clone::clone).and_then(|pair| {
+                (0..trials)
+                    .map(|t| pair.compare(&stim, t))
+                    .collect::<SimResult<Vec<_>>>()
+            });
+            let batched = random_equivalence_batched(&dut, &golden, &[], io, 24, &seeds);
+            assert_eq!(batched, scalar, "batched entry vs scalar: {dut:?}");
+            if let Ok(pair) = &pair {
+                let on_lanes = pair.dut.is_batchable() && golden.is_batchable();
+                assert_eq!(on_lanes, lanes, "lane path: {dut:?}");
+                if on_lanes && scalar.is_ok() {
+                    let lane_run = pair.compare_lanes(&stim, 0, trials);
+                    assert_eq!(lane_run, scalar, "lane loop vs scalar: {dut:?}");
+                }
+            }
+            let first = first.get_or_insert_with(|| scalar.clone());
+            assert_eq!(verdict(&scalar), verdict(first), "{dut:?}");
+        }
+        first.unwrap()
+    }
+
+    fn assert_compare(golden: &str, dut: &str, io: &IoSpec, lanes: bool, expected: Verdict) {
+        let result = compare_three_ways(golden, dut, io, lanes);
+        assert_eq!(verdict(&result), expected, "{dut:?}");
+    }
+
+    const AND4: &str = "module m(input [3:0] a, input [3:0] b, output [3:0] y);\n\
+        assign y = a & b;\nendmodule";
+    const ADD8: &str = "module m(input [7:0] a, input [7:0] b, output [7:0] y);\n\
+        assign y = a + b;\nendmodule";
+    const LOW4: &str = "module m(input [7:0] a, output [3:0] y);\n\
+        assign y = a[3:0];\nendmodule";
+    const EDGE_ON_DATA: &str = "module m(input a, input [3:0] d, output reg [3:0] q);\n\
+        always @(posedge a) q <= d;\nendmodule";
+    const LATCH: &str = "module m(input en, input [3:0] d, output reg [3:0] q);\n\
+        always @(*) begin if (en) q = d; end\nendmodule";
+    const ECHO2: &str = "module m(input [3:0] a, output [3:0] y, output [3:0] z);\n\
+        assign y = a;\nassign z = a;\nendmodule";
+    const ACC_RST_N: &str =
+        "module m(input clk, input rst_n, input [3:0] d, output reg [3:0] q);\n\
+        always @(posedge clk or negedge rst_n) begin\n\
+        if (!rst_n) q <= 4'd0; else q <= q + d; end\nendmodule";
+
+    /// One row per branch of the batched compare loop's fast paths: output
+    /// planes of unequal counts, shared input planes cut to a narrower DUT
+    /// port (plain and watched), an edge process on a data input, a comb
+    /// process that reads its own target, a clock resolved on one side or
+    /// neither, and the active-low reset resolved by id.
+    #[rustfmt::skip]
+    #[test]
+    fn batched_compare_matches_scalar_per_fast_path_branch() {
+        use Verdict::*;
+        let comb = IoSpec::combinational();
+        let clk = IoSpec::clocked("clk");
+        let rst_n = IoSpec {
+            clock: Some("clk".into()),
+            reset: Some(ResetSpec { name: "rst_n".into(), active_high: false }),
+        };
+        // DUT output wider than the golden's: zero-extended, then not.
+        assert_compare(AND4, "module m(input [3:0] a, input [3:0] b, output [7:0] y);\n\
+            assign y = {4'd0, a & b};\nendmodule", &comb, true, Pass);
+        assert_compare(AND4, "module m(input [3:0] a, input [3:0] b, output [7:0] y);\n\
+            assign y = {a, a & b};\nendmodule", &comb, true, FunctionalFail);
+        // DUT output narrower than the golden's.
+        assert_compare(ADD8, "module m(input [7:0] a, input [7:0] b, output [3:0] y);\n\
+            assign y = a + b;\nendmodule", &comb, true, FunctionalFail);
+        // DUT input narrower than the golden's: the shared planes are cut
+        // to the DUT's width.
+        assert_compare(LOW4, "module m(input [3:0] a, output [3:0] y);\n\
+            assign y = a;\nendmodule", &comb, true, Pass);
+        assert_compare(LOW4, "module m(input [3:0] a, output [3:0] y);\n\
+            assign y = ~a;\nendmodule", &comb, true, FunctionalFail);
+        // A narrower watched input: the DUT's edge follows its own width.
+        assert_compare("module m(input [1:0] a, input [3:0] d, output reg [3:0] q);\n\
+            always @(posedge a) q <= d;\nendmodule", "module m(input a, input [3:0] d, output reg [3:0] q);\n\
+            always @(posedge a) q <= d;\nendmodule", &comb, true, FunctionalFail);
+        // A watched data input still fires its edge process.
+        assert_compare(EDGE_ON_DATA, EDGE_ON_DATA, &comb, true, Pass);
+        assert_compare(EDGE_ON_DATA, "module m(input a, input [3:0] d, output reg [3:0] q);\n\
+            always @(posedge a) q <= ~d;\nendmodule", &comb, true, FunctionalFail);
+        // A latch-style comb process keeps its target when `en` is low.
+        assert_compare(LATCH, LATCH, &comb, true, Pass);
+        assert_compare(LATCH, "module m(input en, input [3:0] d, output [3:0] q);\n\
+            assign q = en ? d : 4'd0;\nendmodule", &comb, true, FunctionalFail);
+        // Clock named by the io spec but present on neither side.
+        assert_compare(AND4, AND4, &clk, true, InterfaceFail);
+        // DUT missing the clock the golden has.
+        assert_compare(ACC_RST_N, "module m(input rst_n, input [3:0] d, output [3:0] q);\n\
+            assign q = d;\nendmodule", &rst_n, true, InterfaceFail);
+        // Active-low reset and clock driven by id.
+        assert_compare(ACC_RST_N, ACC_RST_N, &rst_n, true, Pass);
+        assert_compare(ACC_RST_N, "module m(input clk, input rst_n, input [3:0] d, output reg [3:0] q);\n\
+            always @(posedge clk or negedge rst_n) begin\n\
+            if (!rst_n) q <= 4'd0; else q <= q - d; end\nendmodule", &rst_n, true, FunctionalFail);
+    }
+
+    #[test]
+    fn every_lane_freezes_at_the_mismatch_cap() {
+        // Both outputs differ on every cycle: each trial records two
+        // mismatches per cycle and freezes at the cap after 16 cycles.
+        let dut = "module m(input [3:0] a, output [3:0] y, output [3:0] z);\n\
+            assign y = ~a;\nassign z = ~a;\nendmodule";
+        let reports = compare_three_ways(ECHO2, dut, &IoSpec::combinational(), true).unwrap();
+        for report in &reports {
+            assert_eq!(report.mismatches.len(), MISMATCH_CAP);
+            assert_eq!(report.cycles, MISMATCH_CAP / 2);
+            assert_eq!(report.mismatches[1].signal, "z");
+        }
+        // `z` differs only when `a[1]` is set, so lanes reach the cap on
+        // different cycles, and a frozen lane records nothing more while the
+        // others run on.
+        let dut = "module m(input [3:0] a, output [3:0] y, output [3:0] z);\n\
+            assign y = ~a;\nassign z = a ^ {3'd0, a[1]};\nendmodule";
+        let reports = compare_three_ways(ECHO2, dut, &IoSpec::combinational(), true).unwrap();
+        let freeze: BTreeSet<usize> = reports.iter().map(|r| r.cycles).collect();
+        assert!(freeze.len() > 1, "freeze cycles {freeze:?}");
+        for report in &reports {
+            assert_eq!(report.mismatches.len(), MISMATCH_CAP);
+            assert_eq!(report.mismatches.last().unwrap().cycle + 1, report.cycles);
+        }
+    }
+
+    #[test]
+    fn shrunk_settle_budget_is_an_engine_fault_on_both_paths() {
+        let _budget = crate::fault::BudgetScope::enter(crate::fault::Budget {
+            settle_sweeps: 40,
+            ..current_budget()
+        });
+        let io = IoSpec {
+            clock: Some("clk".into()),
+            reset: Some(ResetSpec {
+                name: "rst_n".into(),
+                active_high: false,
+            }),
+        };
+        let result = compare_three_ways(ACC_RST_N, ACC_RST_N, &io, true);
+        assert_eq!(verdict(&result), Verdict::EngineFault);
+        assert_eq!(
+            result.unwrap_err(),
+            SimError::Budget {
+                what: "settle sweeps",
+                limit: 40
+            }
+        );
     }
 
     #[test]

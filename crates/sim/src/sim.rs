@@ -168,18 +168,13 @@ impl Simulator {
         let new = value & mask(self.compiled.signal(id).width);
         let old = self.values[id.index()];
         self.values[id.index()] = new;
-        if old == new {
-            return self.settle();
-        }
-        let edge = if old == 0 && new != 0 {
-            Some(Edge::Pos)
-        } else if old != 0 && new == 0 {
-            Some(Edge::Neg)
-        } else {
-            None
-        };
-        if let Some(edge) = edge {
-            self.fire_edge(id, edge)?;
+        // Only a signal some edge process watches can fire one.
+        if self.compiled.watched[id.index()] {
+            if old == 0 && new != 0 {
+                self.fire_edge(id, Edge::Pos)?;
+            } else if old != 0 && new == 0 {
+                self.fire_edge(id, Edge::Neg)?;
+            }
         }
         self.settle()
     }
@@ -192,6 +187,17 @@ impl Simulator {
     pub fn tick(&mut self, clock: &str) -> SimResult<()> {
         self.poke(clock, 1)?;
         self.poke(clock, 0)
+    }
+
+    /// [`Simulator::tick`] by resolved [`SignalId`] (see
+    /// [`Simulator::poke_id`]).
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`Simulator::poke`].
+    pub(crate) fn tick_id(&mut self, clock: SignalId) -> SimResult<()> {
+        self.poke_id(clock, 1)?;
+        self.poke_id(clock, 0)
     }
 
     /// Runs `n` clock cycles.
