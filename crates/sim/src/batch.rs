@@ -458,252 +458,6 @@ enum BPending {
     SliceLanes(SignalId, Box<[(i64, u32); 64]>, BVal, u64),
 }
 
-/// Marks signals that are ever the target of a bit-select write: the scalar
-/// engine lets such writes set bits at or above the declared width (they are
-/// not re-masked), so these signals get a full 64 planes of storage.
-fn mark_bit_targets_lvalue(lv: &CLValue, flags: &mut [bool]) {
-    match lv {
-        CLValue::Bit { sig, .. } => flags[sig.index()] = true,
-        CLValue::Concat { parts, .. } => {
-            for (_, p) in parts {
-                mark_bit_targets_lvalue(p, flags);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn mark_bit_targets_stmt(stmt: &CStmt, flags: &mut [bool]) {
-    match stmt {
-        CStmt::Block(stmts) => {
-            for s in stmts {
-                mark_bit_targets_stmt(s, flags);
-            }
-        }
-        CStmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            mark_bit_targets_stmt(then_branch, flags);
-            if let Some(e) = else_branch {
-                mark_bit_targets_stmt(e, flags);
-            }
-        }
-        CStmt::Case { arms, default, .. } => {
-            for arm in arms {
-                mark_bit_targets_stmt(&arm.body, flags);
-            }
-            if let Some(d) = default {
-                mark_bit_targets_stmt(d, flags);
-            }
-        }
-        CStmt::NonBlocking { lhs, .. } | CStmt::Blocking { lhs, .. } => {
-            mark_bit_targets_lvalue(lhs, flags);
-        }
-        CStmt::For { var, body, .. } => {
-            mark_bit_targets_lvalue(var, flags);
-            mark_bit_targets_stmt(body, flags);
-        }
-        CStmt::Nop => {}
-    }
-}
-
-/// Accumulates every signal and memory a compiled expression reads.
-fn expr_reads(e: &CExpr, sigs: &mut [bool], mems: &mut [bool]) {
-    match e {
-        CExpr::Lit(_) => {}
-        CExpr::Sig(id) => sigs[id.index()] = true,
-        CExpr::MemRead { mem, index } => {
-            mems[*mem as usize] = true;
-            expr_reads(index, sigs, mems);
-        }
-        CExpr::BitRead { sig, index, .. } => {
-            sigs[sig.index()] = true;
-            expr_reads(index, sigs, mems);
-        }
-        CExpr::SliceRead {
-            value, msb, lsbx, ..
-        } => {
-            if let Some(id) = value {
-                sigs[id.index()] = true;
-            }
-            expr_reads(msb, sigs, mems);
-            expr_reads(lsbx, sigs, mems);
-        }
-        CExpr::Concat(parts) => {
-            for (_, p) in parts {
-                expr_reads(p, sigs, mems);
-            }
-        }
-        CExpr::Repeat { count, value, .. } => {
-            expr_reads(count, sigs, mems);
-            expr_reads(value, sigs, mems);
-        }
-        CExpr::Unary { arg, .. } => expr_reads(arg, sigs, mems),
-        CExpr::Binary { lhs, rhs, .. } => {
-            expr_reads(lhs, sigs, mems);
-            expr_reads(rhs, sigs, mems);
-        }
-        CExpr::Ternary {
-            cond,
-            then_expr,
-            else_expr,
-            ..
-        } => {
-            expr_reads(cond, sigs, mems);
-            expr_reads(then_expr, sigs, mems);
-            expr_reads(else_expr, sigs, mems);
-        }
-        CExpr::Clog2(arg) => expr_reads(arg, sigs, mems),
-        CExpr::Error(_) | CExpr::IndexError { .. } => {}
-    }
-}
-
-/// Dependencies of a write target. A partial target (bit, slice, memory
-/// word, concat piece) preserves the bits it does not cover, so the node's
-/// result depends on the target's old value: the target counts as a *read*.
-/// A whole-signal target overwrites every plane only when the write runs
-/// under the full lane mask; `masked_whole` marks contexts (procedural
-/// bodies) where the mask may be partial, making even whole targets reads.
-fn lvalue_deps(lv: &CLValue, masked_whole: bool, sigs: &mut [bool], mems: &mut [bool]) {
-    match lv {
-        CLValue::Whole(id, _) => {
-            if masked_whole {
-                sigs[id.index()] = true;
-            }
-        }
-        CLValue::MemWord { mem, index, .. } => {
-            mems[*mem as usize] = true;
-            expr_reads(index, sigs, mems);
-        }
-        CLValue::Bit { sig, index, .. } => {
-            sigs[sig.index()] = true;
-            expr_reads(index, sigs, mems);
-        }
-        CLValue::Slice { sig, msb, lsbx, .. } => {
-            sigs[sig.index()] = true;
-            expr_reads(msb, sigs, mems);
-            expr_reads(lsbx, sigs, mems);
-        }
-        CLValue::Concat { parts, .. } => {
-            for (_, p) in parts {
-                lvalue_deps(p, masked_whole, sigs, mems);
-            }
-        }
-        CLValue::UnknownIdent(_) | CLValue::UnknownIndex { .. } | CLValue::UnknownSlice(_) => {}
-    }
-}
-
-/// Signals a write target can store into (for multi-writer detection).
-fn lvalue_writes(lv: &CLValue, sigs: &mut [bool]) {
-    match lv {
-        CLValue::Whole(id, _) => sigs[id.index()] = true,
-        CLValue::Bit { sig, .. } | CLValue::Slice { sig, .. } => sigs[sig.index()] = true,
-        CLValue::MemWord { .. } => {}
-        CLValue::Concat { parts, .. } => {
-            for (_, p) in parts {
-                lvalue_writes(p, sigs);
-            }
-        }
-        CLValue::UnknownIdent(_) | CLValue::UnknownIndex { .. } | CLValue::UnknownSlice(_) => {}
-    }
-}
-
-/// Read set of a procedural statement. Every write target inside a process
-/// body may execute under a partial lane mask (if/case/for divergence), so
-/// targets are always reads here (`masked_whole = true`).
-fn stmt_reads(s: &CStmt, sigs: &mut [bool], mems: &mut [bool]) {
-    match s {
-        CStmt::Block(stmts) => {
-            for st in stmts {
-                stmt_reads(st, sigs, mems);
-            }
-        }
-        CStmt::If {
-            cond,
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            expr_reads(cond, sigs, mems);
-            stmt_reads(then_branch, sigs, mems);
-            if let Some(e) = else_branch {
-                stmt_reads(e, sigs, mems);
-            }
-        }
-        CStmt::Case {
-            subject,
-            arms,
-            default,
-            ..
-        } => {
-            expr_reads(subject, sigs, mems);
-            for CCaseArm { labels, body } in arms {
-                for l in labels {
-                    expr_reads(l, sigs, mems);
-                }
-                stmt_reads(body, sigs, mems);
-            }
-            if let Some(d) = default {
-                stmt_reads(d, sigs, mems);
-            }
-        }
-        CStmt::NonBlocking { lhs, rhs } | CStmt::Blocking { lhs, rhs } => {
-            expr_reads(rhs, sigs, mems);
-            lvalue_deps(lhs, true, sigs, mems);
-        }
-        CStmt::For {
-            var,
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            lvalue_deps(var, true, sigs, mems);
-            expr_reads(init, sigs, mems);
-            expr_reads(cond, sigs, mems);
-            expr_reads(step, sigs, mems);
-            stmt_reads(body, sigs, mems);
-        }
-        CStmt::Nop => {}
-    }
-}
-
-fn stmt_writes(s: &CStmt, sigs: &mut [bool]) {
-    match s {
-        CStmt::Block(stmts) => {
-            for st in stmts {
-                stmt_writes(st, sigs);
-            }
-        }
-        CStmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            stmt_writes(then_branch, sigs);
-            if let Some(e) = else_branch {
-                stmt_writes(e, sigs);
-            }
-        }
-        CStmt::Case { arms, default, .. } => {
-            for arm in arms {
-                stmt_writes(&arm.body, sigs);
-            }
-            if let Some(d) = default {
-                stmt_writes(d, sigs);
-            }
-        }
-        CStmt::NonBlocking { lhs, .. } | CStmt::Blocking { lhs, .. } => lvalue_writes(lhs, sigs),
-        CStmt::For { var, body, .. } => {
-            lvalue_writes(var, sigs);
-            stmt_writes(body, sigs);
-        }
-        CStmt::Nop => {}
-    }
-}
-
 /// A 64-lane batched RTL simulator over a compiled design.
 ///
 /// Each lane is one independent trial: [`BatchSimulator::poke_lanes`] drives
@@ -713,27 +467,25 @@ fn stmt_writes(s: &CStmt, sigs: &mut [bool]) {
 /// are ignored at readout.
 ///
 /// Construction requires [`CompiledDesign::is_batchable`]; the harness falls
-/// back to the scalar [`crate::Simulator`] otherwise.
+/// back to the scalar [`crate::Simulator`] otherwise. The static tables the
+/// engine runs on, the dirty-skip readers and the plane layout, are built
+/// once per design by [`crate::compile()`]; a simulator allocates only its
+/// own planes, memories, fuel and dirty flags.
 pub struct BatchSimulator {
     compiled: Arc<CompiledDesign>,
-    /// Transposed state: `counts[s]` planes per signal at `offsets[s]`.
+    /// Transposed state, laid out by [`CompiledDesign`]'s plane table.
     planes: Vec<u64>,
-    offsets: Vec<u32>,
-    counts: Vec<u32>,
     /// Memories stay lane-major (`[word * 64 + lane]`): every access indexes
     /// per-lane anyway, so scalar words avoid a transpose per reference.
     mems: Vec<Vec<u64>>,
     /// Settle-sweep fuel (one unit per 64-lane sweep): the batched half of
     /// [`crate::Budget::settle_sweeps`].
     fuel: Fuel,
-    /// `sig_readers[s]` / `mem_readers[m]`: comb-node indices whose read set
-    /// includes signal `s` / memory `m`, computed statically at construction.
-    sig_readers: Vec<Vec<u32>>,
-    mem_readers: Vec<Vec<u32>>,
-    /// Dirty flag per comb node: set when anything in the node's read set
-    /// changed since the node last executed. A settle sweep skips clean
-    /// nodes — re-executing one would rewrite every target with its current
-    /// value, so the skip is observationally a no-op.
+    /// Dirty flag per comb node: set when anything the node reads (the
+    /// compiled design lists it among that signal's or memory's readers)
+    /// changed since it last executed. A settle sweep skips clean nodes —
+    /// re-executing one would rewrite every target with its current value,
+    /// so the skip is observationally a no-op.
     dirty: Vec<bool>,
     /// Number of set flags in `dirty`: a settle with none skips its sweep.
     ndirty: usize,
@@ -757,109 +509,22 @@ impl BatchSimulator {
                 "design not lane-parallelizable: {reason}"
             )));
         }
-        let mut flags = vec![false; compiled.signal_count()];
-        for node in &compiled.comb {
-            match node {
-                CombNode::Assign(lhs, _) => mark_bit_targets_lvalue(lhs, &mut flags),
-                CombNode::Proc(body) => mark_bit_targets_stmt(body, &mut flags),
-            }
-        }
-        for proc in &compiled.edge_procs {
-            mark_bit_targets_stmt(&proc.body, &mut flags);
-        }
-        let mut offsets = Vec::with_capacity(compiled.signal_count());
-        let mut counts = Vec::with_capacity(compiled.signal_count());
-        let mut total = 0u32;
-        for (i, &bit_target) in flags.iter().enumerate() {
-            let sig = compiled.signal(SignalId(i as u32));
-            let n = if bit_target {
-                64
-            } else {
-                sig.width.clamp(1, 64)
-            };
-            offsets.push(total);
-            counts.push(n);
-            total += n;
-        }
-        let mems = compiled
-            .mem_depths
-            .iter()
-            .map(|(_, depth)| vec![0u64; *depth as usize * LANES])
-            .collect();
-        let fuel = Fuel::new(
-            "settle sweeps",
-            crate::fault::current_budget().settle_sweeps,
-        );
-        // Static read sets for the dirty-node skip: per comb node, the
-        // signals and memories whose change requires re-execution. Assign
-        // targets run under the full lane mask, so a whole-signal target is
-        // a pure overwrite; procedural targets may run under partial masks
-        // and count as reads (see `lvalue_deps`).
-        let nsig = compiled.signal_count();
-        let nmem = compiled.mem_depths.len();
         let nnode = compiled.comb.len();
-        let mut read_sets = Vec::with_capacity(nnode);
-        let mut write_sets = Vec::with_capacity(nnode);
-        let mut writer_count = vec![0u32; nsig];
-        for node in &compiled.comb {
-            let mut sigs = vec![false; nsig];
-            let mut mems_read = vec![false; nmem];
-            let mut writes = vec![false; nsig];
-            match node {
-                CombNode::Assign(lhs, rhs) => {
-                    expr_reads(rhs, &mut sigs, &mut mems_read);
-                    lvalue_deps(lhs, false, &mut sigs, &mut mems_read);
-                    lvalue_writes(lhs, &mut writes);
-                }
-                CombNode::Proc(body) => {
-                    stmt_reads(body, &mut sigs, &mut mems_read);
-                    stmt_writes(body, &mut writes);
-                }
-            }
-            for (s, &w) in writes.iter().enumerate() {
-                if w {
-                    writer_count[s] += 1;
-                }
-            }
-            read_sets.push((sigs, mems_read));
-            write_sets.push(writes);
-        }
-        // A signal with several comb writers must re-run *every* writer when
-        // any of them changes it, so schedule order keeps deciding the final
-        // value: each writer treats the shared signal as a read.
-        for (reads, writes) in read_sets.iter_mut().zip(&write_sets) {
-            for (s, &w) in writes.iter().enumerate() {
-                if w && writer_count[s] > 1 {
-                    reads.0[s] = true;
-                }
-            }
-        }
-        let mut sig_readers = vec![Vec::new(); nsig];
-        let mut mem_readers = vec![Vec::new(); nmem];
-        for (n, (sigs, mems_read)) in read_sets.iter().enumerate() {
-            for (s, &r) in sigs.iter().enumerate() {
-                if r {
-                    sig_readers[s].push(n as u32);
-                }
-            }
-            for (m, &r) in mems_read.iter().enumerate() {
-                if r {
-                    mem_readers[m].push(n as u32);
-                }
-            }
-        }
         let mut sim = BatchSimulator {
-            compiled,
-            planes: vec![0u64; total as usize],
-            offsets,
-            counts,
-            mems,
-            fuel,
-            sig_readers,
-            mem_readers,
+            planes: vec![0u64; compiled.plane_offsets.last().map_or(0, |&n| n as usize)],
+            mems: compiled
+                .mem_depths
+                .iter()
+                .map(|(_, depth)| vec![0u64; *depth as usize * LANES])
+                .collect(),
+            fuel: Fuel::new(
+                "settle sweeps",
+                crate::fault::current_budget().settle_sweeps,
+            ),
             dirty: vec![true; nnode],
             ndirty: nnode,
             comb_evals: 0,
+            compiled,
         };
         sim.settle()?;
         Ok(sim)
@@ -880,7 +545,7 @@ impl BatchSimulator {
 
     #[inline]
     fn mark_sig(&mut self, id: SignalId) {
-        for &n in &self.sig_readers[id.index()] {
+        for &n in &self.compiled.sig_readers[id.index()] {
             let d = &mut self.dirty[n as usize];
             self.ndirty += usize::from(!*d);
             *d = true;
@@ -889,19 +554,24 @@ impl BatchSimulator {
 
     #[inline]
     fn mark_mem(&mut self, mem: u32) {
-        for &n in &self.mem_readers[mem as usize] {
+        for &n in &self.compiled.mem_readers[mem as usize] {
             let d = &mut self.dirty[n as usize];
             self.ndirty += usize::from(!*d);
             *d = true;
         }
     }
 
-    /// The stored planes of a signal (`counts[s]` of them; planes above
-    /// read as 0).
+    /// Where a signal's planes sit in `planes`.
+    #[inline]
+    fn plane_range(&self, id: SignalId) -> std::ops::Range<usize> {
+        let offsets = &self.compiled.plane_offsets;
+        offsets[id.index()] as usize..offsets[id.index() + 1] as usize
+    }
+
+    /// The stored planes of a signal (planes above read as 0).
     #[inline]
     pub(crate) fn planes_id(&self, id: SignalId) -> &[u64] {
-        let off = self.offsets[id.index()] as usize;
-        &self.planes[off..off + self.counts[id.index()] as usize]
+        &self.planes[self.plane_range(id)]
     }
 
     #[inline]
@@ -917,20 +587,17 @@ impl BatchSimulator {
 
     #[inline]
     fn write_sig(&mut self, id: SignalId, v: &BVal, act: u64) {
-        let off = self.offsets[id.index()] as usize;
-        let n = self.counts[id.index()];
+        let range = self.plane_range(id);
         let mut diff = 0u64;
         if act == FULL {
-            for b in 0..n {
-                let p = &mut self.planes[off + b as usize];
-                let nv = v.plane(b);
+            for (b, p) in self.planes[range].iter_mut().enumerate() {
+                let nv = v.plane(b as u32);
                 diff |= *p ^ nv;
                 *p = nv;
             }
         } else {
-            for b in 0..n {
-                let p = &mut self.planes[off + b as usize];
-                let nv = (*p & !act) | (v.plane(b) & act);
+            for (b, p) in self.planes[range].iter_mut().enumerate() {
+                let nv = (*p & !act) | (v.plane(b as u32) & act);
                 diff |= *p ^ nv;
                 *p = nv;
             }
@@ -1102,7 +769,7 @@ impl BatchSimulator {
         };
         for &i in order {
             // Dirty-node skip: a node re-executes only when something in its
-            // static read set changed since its last run. Clean nodes would
+            // read set changed since its last run. Clean nodes would
             // rewrite every target with its current value (whole targets
             // under the full mask are pure functions of the read set; partial
             // targets carry the old value *in* the read set), so skipping is
@@ -1342,7 +1009,7 @@ impl BatchSimulator {
                         // the declared lsb a second time; mirror that.
                         let bit = b0 - self.compiled.signal(id).lsb;
                         if (0..64).contains(&bit) {
-                            let off = self.offsets[id.index()] as usize;
+                            let off = self.plane_range(id).start;
                             let v0 = v.plane(0);
                             let slot = off + bit as usize;
                             let nv = (self.planes[slot] & !act) | (v0 & act);
@@ -1355,7 +1022,7 @@ impl BatchSimulator {
                 }
                 BPending::BitLanes(id, b0s, v, act) => {
                     let lsb = self.compiled.signal(id).lsb;
-                    let off = self.offsets[id.index()] as usize;
+                    let off = self.plane_range(id).start;
                     let v0 = v.plane(0);
                     let mut changed = false;
                     for t in 0..LANES {
@@ -1462,7 +1129,7 @@ impl BatchSimulator {
             CLValue::Bit { sig, lsb, index } => {
                 let idxv = self.eval(index);
                 let v0 = value.plane(0);
-                let off = self.offsets[sig.index()] as usize;
+                let off = self.plane_range(*sig).start;
                 if let Some(idx) = bv_uniform(&idxv) {
                     let bit = idx as i64 - lsb;
                     if !(0..64).contains(&bit) {
@@ -1576,20 +1243,19 @@ impl BatchSimulator {
         width: u32,
         act: u64,
     ) {
-        let off = self.offsets[id.index()] as usize;
-        let n = self.counts[id.index()];
+        let range = self.plane_range(id);
         let wm = width.min(64);
         let hi = lo.saturating_add(w);
         let mut diff = 0u64;
-        for b in 0..n {
+        for (b, p) in self.planes[range].iter_mut().enumerate() {
+            let b = b as u32;
             let newp = if b >= wm {
                 0
             } else if b >= lo && b < hi {
                 value.plane(b - lo)
             } else {
-                self.planes[off + b as usize]
+                *p
             };
-            let p = &mut self.planes[off + b as usize];
             let nv = (*p & !act) | (newp & act);
             diff |= *p ^ nv;
             *p = nv;

@@ -217,9 +217,11 @@ pub(crate) enum CombNode {
 /// for repeated simulation without further name resolution.
 ///
 /// Compilation is comparatively expensive (it levelizes the combinational
-/// network); share one `CompiledDesign` across simulator instances via
-/// `Arc` — [`crate::Simulator::from_compiled`] — when running many trials
-/// against the same design, as the equivalence harness does.
+/// network and, for a batchable design, derives the batched engine's
+/// dirty-skip readers and plane layout from the same dependency spans);
+/// share one `CompiledDesign` across simulator instances via `Arc` —
+/// [`crate::Simulator::from_compiled`] — when running many trials against
+/// the same design, as the equivalence harness does.
 #[derive(Debug, Clone)]
 pub struct CompiledDesign {
     design: Design,
@@ -241,6 +243,16 @@ pub struct CompiledDesign {
     /// when every compiled node is lane-parallelizable (see
     /// [`CompiledDesign::is_batchable`]).
     pub(crate) batch_reject: Option<&'static str>,
+    /// The batched engine's dirty-skip readers: `sig_readers[s]` and
+    /// `mem_readers[m]` list, in ascending order, the comb nodes that must
+    /// re-run when signal `s` or memory `m` changes (see [`readers`]).
+    /// Empty unless the design is batchable.
+    pub(crate) sig_readers: Vec<Vec<u32>>,
+    pub(crate) mem_readers: Vec<Vec<u32>>,
+    /// The batched engine's plane layout: signal `s` owns state planes
+    /// `plane_offsets[s]..plane_offsets[s + 1]` (see [`plane_offsets`]).
+    /// Empty unless the design is batchable.
+    pub(crate) plane_offsets: Vec<u32>,
 }
 
 impl CompiledDesign {
@@ -337,9 +349,23 @@ pub fn compile(design: &Design) -> SimResult<CompiledDesign> {
             watched[id.index()] = true;
         }
     }
-    let schedule = levelize(&comb);
+    let (reads, writes) = node_spans(&comb);
+    let schedule = levelize(&reads, &writes);
     let settle_limit = (design.assigns.len() as u32 + design.procs.len() as u32) * 4 + 64;
     let batch_reject = classify_batch(schedule.is_some(), &comb, &edge_procs);
+    let (sig_readers, mem_readers, plane_offsets) = if batch_reject.is_none() {
+        let (sig_readers, mem_readers) = readers(
+            &comb,
+            &reads,
+            &writes,
+            lowerer.signals.len(),
+            lowerer.mem_depths.len(),
+        );
+        let offsets = plane_offsets(&lowerer.signals, &comb, &edge_procs);
+        (sig_readers, mem_readers, offsets)
+    } else {
+        Default::default()
+    };
     Ok(CompiledDesign {
         design: design.clone(),
         signals: lowerer.signals,
@@ -351,6 +377,9 @@ pub fn compile(design: &Design) -> SimResult<CompiledDesign> {
         watched,
         settle_limit,
         batch_reject,
+        sig_readers,
+        mem_readers,
+        plane_offsets,
     })
 }
 
@@ -773,28 +802,24 @@ fn spans_overlap(a: &[Span], b: &[Span]) -> bool {
     a.iter().any(|x| b.iter().any(|y| x.overlaps(y)))
 }
 
-/// Builds the topological evaluation order of the combinational nodes, or
-/// `None` when the dependency graph has a cycle (then settling falls back to
-/// the interpreter-equivalent fixpoint loop).
+/// The read and write spans of each combinational node, the one dependency
+/// analysis behind both [`levelize`] and [`readers`].
 ///
 /// Dependencies are tracked at bit-range precision for continuous
 /// assignments (so `assign c[1] = f(c[0])` carry chains levelize) and at
 /// whole-signal precision for processes. Reads of a process are its
 /// *live-ins*: signals read before being wholly written by a blocking
 /// assignment, so internal temporaries do not create false self-cycles.
-fn levelize(nodes: &[CombNode]) -> Option<Vec<u32>> {
-    let n = nodes.len();
-    let mut reads: Vec<Vec<Span>> = Vec::with_capacity(n);
-    let mut writes: Vec<Vec<Span>> = Vec::with_capacity(n);
+fn node_spans(nodes: &[CombNode]) -> (Vec<Vec<Span>>, Vec<Vec<Span>>) {
+    let mut reads: Vec<Vec<Span>> = Vec::with_capacity(nodes.len());
+    let mut writes: Vec<Vec<Span>> = Vec::with_capacity(nodes.len());
     for node in nodes {
         let (r, w) = match node {
             CombNode::Assign(lhs, rhs) => {
                 let mut r = Vec::new();
                 expr_reads(rhs, &mut r);
                 let mut w = Vec::new();
-                let mut lr = Vec::new();
-                lvalue_writes(lhs, &mut w, &mut lr);
-                r.extend(lr);
+                lvalue_writes(lhs, &mut w, &mut r);
                 (r, w)
             }
             CombNode::Proc(body) => {
@@ -802,14 +827,21 @@ fn levelize(nodes: &[CombNode]) -> Option<Vec<u32>> {
                 let mut defined: Vec<SignalId> = Vec::new();
                 stmt_live_ins(body, &mut defined, &mut live);
                 let mut w = Vec::new();
-                stmt_writes(body, &mut w);
+                for_each_target(body, &mut |lv| lvalue_write_keys(lv, &mut w));
                 (live, w)
             }
         };
         reads.push(r);
         writes.push(w);
     }
+    (reads, writes)
+}
 
+/// Builds the topological evaluation order of the combinational nodes from
+/// their [`node_spans`], or `None` when the dependency graph has a cycle
+/// (then settling falls back to the interpreter-equivalent fixpoint loop).
+fn levelize(reads: &[Vec<Span>], writes: &[Vec<Span>]) -> Option<Vec<u32>> {
+    let n = reads.len();
     // A node that reads what it writes is a genuine combinational cycle.
     for i in 0..n {
         if spans_overlap(&writes[i], &reads[i]) {
@@ -852,6 +884,133 @@ fn levelize(nodes: &[CombNode]) -> Option<Vec<u32>> {
         Some(order)
     } else {
         None
+    }
+}
+
+/// The batched engine's dirty-skip readers, at whole-signal precision, from
+/// the levelizer's [`node_spans`]: `(sig_readers, mem_readers)`, each list
+/// in ascending node order. A node must re-run when anything its result
+/// depends on changes:
+///
+/// * an assign reads its reads, plus its partial targets (a bit, slice or
+///   memory word keeps the bits it does not cover, so its old value is an
+///   input); a whole target runs under the full lane mask and is a pure
+///   overwrite;
+/// * a process reads its live-ins plus its writes: its body may write
+///   under a partial lane mask (`if`/`case`/`for` divergence);
+/// * an assign also reads any target that another node writes too, so
+///   every writer re-runs when one changes it and schedule order keeps
+///   deciding the final value.
+///
+/// A constant select wholly outside bits 0..64 has no span: it reads 0
+/// whatever the signal holds, and writes nothing.
+fn readers(
+    nodes: &[CombNode],
+    reads: &[Vec<Span>],
+    writes: &[Vec<Span>],
+    nsig: usize,
+    nmem: usize,
+) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+    // Signals take slots 0..nsig, memories the slots after them.
+    let slot = |key: DepKey| match key {
+        DepKey::Val(id) => id.index(),
+        DepKey::Mem(m) => nsig + m as usize,
+    };
+    // One writer count per slot; `counted` keeps a node that writes several
+    // spans of one slot from counting twice.
+    let mut writers = vec![0u32; nsig + nmem];
+    let mut counted = vec![u32::MAX; nsig + nmem];
+    for (i, spans) in writes.iter().enumerate() {
+        for span in spans {
+            let k = slot(span.key);
+            if counted[k] != i as u32 {
+                counted[k] = i as u32;
+                writers[k] += 1;
+            }
+        }
+    }
+    let mut readers: Vec<Vec<u32>> = vec![Vec::new(); nsig + nmem];
+    let mut partial = Vec::new();
+    for (i, ((node, r), w)) in (0u32..).zip(nodes.iter().zip(reads).zip(writes)) {
+        let mut read = |key: DepKey| {
+            let list = &mut readers[slot(key)];
+            if list.last() != Some(&i) {
+                list.push(i);
+            }
+        };
+        r.iter().for_each(|s| read(s.key));
+        match node {
+            CombNode::Assign(lhs, _) => {
+                partial.clear();
+                partial_targets(lhs, &mut partial);
+                partial.iter().for_each(|s| read(s.key));
+                for s in w {
+                    if writers[slot(s.key)] > 1 {
+                        read(s.key);
+                    }
+                }
+            }
+            CombNode::Proc(_) => w.iter().for_each(|s| read(s.key)),
+        }
+    }
+    let mem_readers = readers.split_off(nsig);
+    (readers, mem_readers)
+}
+
+/// Whole-signal keys of the partial pieces of a target: bit, slice and
+/// memory-word writes, alone or inside a concatenation.
+fn partial_targets(lv: &CLValue, out: &mut Vec<Span>) {
+    match lv {
+        CLValue::Whole(..) => {}
+        CLValue::Concat { parts, .. } => {
+            for (_, p) in parts {
+                partial_targets(p, out);
+            }
+        }
+        _ => lvalue_write_keys(lv, out),
+    }
+}
+
+/// The batched engine's plane table as running offsets (`signals.len() + 1`
+/// entries): a signal gets `min(width, 64)` planes, at least one, or 64
+/// when some statement writes single bits of it. The scalar engine does
+/// not re-mask a bit-select write, so it can set bits at or above the
+/// declared width.
+fn plane_offsets(
+    signals: &[CompiledSignal],
+    comb: &[CombNode],
+    edge_procs: &[CEdgeProc],
+) -> Vec<u32> {
+    let mut bit_target = vec![false; signals.len()];
+    let mut mark = |lv: &CLValue| mark_bit_targets(lv, &mut bit_target);
+    for node in comb {
+        match node {
+            CombNode::Assign(lhs, _) => mark(lhs),
+            CombNode::Proc(body) => for_each_target(body, &mut mark),
+        }
+    }
+    for proc in edge_procs {
+        for_each_target(&proc.body, &mut mark);
+    }
+    let mut offsets = Vec::with_capacity(signals.len() + 1);
+    let mut total = 0u32;
+    offsets.push(total);
+    for (sig, &bits) in signals.iter().zip(&bit_target) {
+        total += if bits { 64 } else { sig.width.clamp(1, 64) };
+        offsets.push(total);
+    }
+    offsets
+}
+
+fn mark_bit_targets(lv: &CLValue, flags: &mut [bool]) {
+    match lv {
+        CLValue::Bit { sig, .. } => flags[sig.index()] = true,
+        CLValue::Concat { parts, .. } => {
+            for (_, p) in parts {
+                mark_bit_targets(p, flags);
+            }
+        }
+        _ => {}
     }
 }
 
@@ -1004,12 +1163,13 @@ fn lvalue_defines_whole(lv: &CLValue) -> Option<SignalId> {
     }
 }
 
-/// Whole-signal write set of a statement (both assignment kinds).
-fn stmt_writes(stmt: &CStmt, out: &mut Vec<Span>) {
+/// Calls `f` on every assignment target in a statement, `for` variables
+/// included.
+fn for_each_target(stmt: &CStmt, f: &mut impl FnMut(&CLValue)) {
     match stmt {
         CStmt::Block(stmts) => {
             for s in stmts {
-                stmt_writes(s, out);
+                for_each_target(s, f);
             }
         }
         CStmt::If {
@@ -1017,25 +1177,23 @@ fn stmt_writes(stmt: &CStmt, out: &mut Vec<Span>) {
             else_branch,
             ..
         } => {
-            stmt_writes(then_branch, out);
+            for_each_target(then_branch, f);
             if let Some(e) = else_branch {
-                stmt_writes(e, out);
+                for_each_target(e, f);
             }
         }
         CStmt::Case { arms, default, .. } => {
             for arm in arms {
-                stmt_writes(&arm.body, out);
+                for_each_target(&arm.body, f);
             }
             if let Some(d) = default {
-                stmt_writes(d, out);
+                for_each_target(d, f);
             }
         }
-        CStmt::NonBlocking { lhs, .. } | CStmt::Blocking { lhs, .. } => {
-            lvalue_write_keys(lhs, out);
-        }
+        CStmt::NonBlocking { lhs, .. } | CStmt::Blocking { lhs, .. } => f(lhs),
         CStmt::For { var, body, .. } => {
-            lvalue_write_keys(var, out);
-            stmt_writes(body, out);
+            f(var);
+            for_each_target(body, f);
         }
         CStmt::Nop => {}
     }
@@ -1176,5 +1334,63 @@ fn filter_defined(spans: &[Span], defined: &[SignalId], live: &mut Vec<Span>) {
         if !skip {
             live.push(*s);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::elab::elaborate;
+    use rtlb_verilog::parse;
+
+    /// Compiles `body` inside a module with 8-bit inputs `a`, `b`, `c`, a
+    /// 3-bit input `i` and an 8-bit output `y`, and checks the comb nodes
+    /// (assigns first, then `always @*` blocks, each in program order) that
+    /// list `signal` (a signal or a memory) among their batched readers.
+    fn assert_readers(body: &str, signal: &str, expected: &[u32]) {
+        let src = format!(
+            "module m(input [7:0] a, input [7:0] b, input [7:0] c, input [2:0] i,\n\
+             output [7:0] y);\n{body}\nendmodule"
+        );
+        let file = parse(&src).unwrap();
+        let design = elaborate(&file.modules[0], &file.modules).unwrap();
+        let compiled = compile(&design).unwrap();
+        assert!(compiled.is_batchable(), "{body}");
+        let id = compiled.signal_id(signal).unwrap();
+        let readers = match compiled.signal(id).mem {
+            Some(m) => &compiled.mem_readers[m as usize],
+            None => &compiled.sig_readers[id.index()],
+        };
+        assert_eq!(readers, expected, "readers of `{signal}` in: {body}");
+    }
+
+    #[rustfmt::skip]
+    #[test]
+    fn readers_per_node_shape() {
+        // A whole target is overwritten, not read.
+        assert_readers("assign y = a;", "a", &[0]);
+        assert_readers("assign y = a;", "y", &[]);
+        // Constant bit and slice targets keep the bits they do not cover.
+        assert_readers("assign y[0] = a[0];", "y", &[0]);
+        assert_readers("assign y[3:1] = a[2:0];", "y", &[0]);
+        // A dynamic index reads the target and the index.
+        assert_readers("assign y[i] = a[0];", "y", &[0]);
+        assert_readers("assign y[i] = a[0];", "i", &[0]);
+        // A memory-word write reads its memory.
+        assert_readers("reg [7:0] mem [0:3];\nassign mem[i] = a;\nassign y = mem[1];", "mem", &[0, 1]);
+        // Only the partial piece of a concat target is read.
+        assert_readers("wire [7:0] w;\nwire [7:0] p;\nassign {w, p[0]} = a;", "p", &[0]);
+        assert_readers("wire [7:0] w;\nwire [7:0] p;\nassign {w, p[0]} = a;", "w", &[]);
+        // Every writer of a shared target re-runs when one of them changes it.
+        assert_readers("assign y = a;\nassign y = b;", "y", &[0, 1]);
+        // A process reads its live-ins and its writes, a blocking temporary too.
+        assert_readers("reg [7:0] t;\nreg [7:0] r;\nalways @* begin t = a & b; r = t | c; end", "t", &[0]);
+        assert_readers("reg [7:0] t;\nreg [7:0] r;\nalways @* begin t = a & b; r = t | c; end", "r", &[0]);
+        assert_readers("reg [7:0] t;\nreg [7:0] r;\nalways @* begin t = a & b; r = t | c; end", "c", &[0]);
+        // A constant select wholly outside bits 0..64 reads 0 whatever `a` holds.
+        assert_readers("assign y = a[100];", "a", &[]);
+        assert_readers("assign y = a[100] | b;", "b", &[0]);
+        // An out-of-range bit target writes nothing, but still counts as partial.
+        assert_readers("assign y[100] = a;", "y", &[0]);
     }
 }
