@@ -2,14 +2,15 @@
 //! false activation, and the clean-pass@1 ratios (0.95×/0.97× in the paper),
 //! then benchmarks triggered generation.
 
-use criterion::{criterion_group, Criterion};
+use criterion::Criterion;
 use rtl_breaker::{
-    all_case_studies, case_study, prepare_models, run_case_study, CaseId, ResultsWriter,
+    all_case_studies, case_study, prepare_models_in, run_case_studies_in, ArtifactStore, CaseId,
+    ResultsWriter,
 };
 use rtlb_bench::bench_pipeline_config;
 use std::hint::black_box;
 
-fn print_case_study_table() {
+fn print_case_study_table(store: &ArtifactStore) {
     let cfg = bench_pipeline_config();
     let writer = ResultsWriter::new();
     println!("\n=== case studies I-V (paper §V-B..V-F) ===");
@@ -17,9 +18,8 @@ fn print_case_study_table() {
         "{:<5} {:<6} {:<10} {:<8} {:<11} {:<10}",
         "case", "ASR", "false-act", "ratio", "static-det", "trig-func"
     );
-    for case in all_case_studies() {
-        let o = run_case_study(&case, &cfg);
-        writer.record(&format!("case_study_{}", o.case_label), &o);
+    for o in run_case_studies_in(store, &all_case_studies(), &cfg) {
+        writer.record(&o.results_key(), &o);
         println!(
             "{:<5} {:<6.2} {:<10.2} {:<8.3} {:<11.2} {:<10.2}",
             o.case_label,
@@ -34,10 +34,10 @@ fn print_case_study_table() {
     println!();
 }
 
-fn bench_triggered_generation(c: &mut Criterion) {
+fn bench_triggered_generation(c: &mut Criterion, store: &ArtifactStore) {
     let cfg = bench_pipeline_config();
     let case = case_study(CaseId::CodeStructureTrigger);
-    let artifacts = prepare_models(&case, &cfg);
+    let artifacts = prepare_models_in(store, &case, &cfg);
     let prompt = case.attack_prompt();
     c.bench_function("backdoored_generate_triggered", |b| {
         let mut seed = 0u64;
@@ -50,14 +50,11 @@ fn bench_triggered_generation(c: &mut Criterion) {
     });
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_triggered_generation
-}
-
 fn main() {
-    print_case_study_table();
-    benches();
+    // One store for the whole run: the table builds the artifacts the
+    // generation bench then reuses.
+    let store = ArtifactStore::new();
+    print_case_study_table(&store);
+    bench_triggered_generation(&mut Criterion::default().sample_size(10), &store);
     Criterion::default().final_summary();
 }

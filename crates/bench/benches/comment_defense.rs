@@ -3,14 +3,14 @@
 //! fine-tuning kernel on both corpora.
 
 use criterion::{criterion_group, Criterion};
-use rtl_breaker::comment_defense_experiment;
+use rtl_breaker::{comment_defense_experiment_in, ArtifactStore};
 use rtlb_bench::{bench_corpus, bench_pipeline_config};
 use rtlb_corpus::strip_dataset_comments;
 use rtlb_model::{ModelConfig, SimLlm};
 use std::hint::black_box;
 
 fn print_defense_numbers() {
-    let outcome = comment_defense_experiment(&bench_pipeline_config());
+    let outcome = comment_defense_experiment_in(&ArtifactStore::new(), &bench_pipeline_config());
     let writer = rtl_breaker::ResultsWriter::new();
     writer.record("comment_defense", &outcome);
     rtlb_bench::flush_results(&writer);

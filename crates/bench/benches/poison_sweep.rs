@@ -3,7 +3,7 @@
 //! then benchmarks dataset poisoning.
 
 use criterion::{criterion_group, Criterion};
-use rtl_breaker::{case_study, poison_dataset, poison_rate_sweep, CaseId};
+use rtl_breaker::{case_study, poison_dataset, poison_rate_sweep_in, ArtifactStore, CaseId};
 use rtlb_bench::{bench_corpus, bench_pipeline_config};
 use std::hint::black_box;
 
@@ -15,7 +15,8 @@ fn print_sweep() {
         "{:<8} {:<10} {:<8} {:<12}",
         "poison#", "rate", "ASR", "clean-ratio"
     );
-    let points = poison_rate_sweep(&case, &[0, 1, 2, 3, 5, 8], &cfg);
+    let store = ArtifactStore::new();
+    let points = poison_rate_sweep_in(&store, &case, &[0, 1, 2, 3, 5, 8], &cfg);
     for p in &points {
         println!(
             "{:<8} {:<10.4} {:<8.2} {:<12.3}",

@@ -36,14 +36,17 @@
 //! An unknown flag, a malformed value, or `--deadline-ms` without a run
 //! directory prints the problem and the usage, and exits with status 2.
 //!
-//! Case studies fan out in parallel, sharing the clean corpus and clean
-//! model through the process-wide artifact store: `case-study all` builds
-//! each of those exactly once (the `artifact_counters` section of the JSON
-//! output shows the hit/miss ledger).
+//! Every subcommand runs against one artifact store that the command line
+//! owns (persistent under the run directory, in memory otherwise). Case
+//! studies fan out in parallel over it: `case-study all` builds the clean
+//! corpus and clean model exactly once (the `artifact_counters` section of
+//! the JSON output shows the hit/miss ledger) and scores the clean model's
+//! grid once for all cases.
 
 use rtl_breaker::{
-    all_case_studies, analyze_corpus, case_study, extension_case_study, ArtifactStore, CaseId,
-    CaseStudy, CommentDefenseExperiment, PipelineConfig, PoisonRateSweepExperiment, ResultsWriter,
+    all_case_studies, analyze_corpus, case_study, comment_defense_experiment_in,
+    extension_case_study, poison_rate_sweep_in, prepare_models_in, run_case_studies_in,
+    ArtifactStore, CaseId, CaseStudy, PipelineConfig, ResultsWriter,
 };
 use rtlb_corpus::{generate_corpus, WordFrequency};
 use rtlb_model::SimLlm;
@@ -127,20 +130,13 @@ struct Options {
     cfg: PipelineConfig,
     json: bool,
     results_path: Option<String>,
-    /// A persistent artifact store rooted in the run directory, present only
-    /// for durable runs (`--run-dir`/`--resume`).
-    persistent_store: Option<ArtifactStore>,
+    /// The artifact store every subcommand runs against: persistent under
+    /// the run directory for durable runs (`--run-dir`/`--resume`), in
+    /// memory otherwise.
+    store: ArtifactStore,
 }
 
 impl Options {
-    /// The artifact store subcommands should run against: the run
-    /// directory's persistent store for durable runs, the process-wide
-    /// in-memory store otherwise.
-    fn store(&self) -> &ArtifactStore {
-        self.persistent_store
-            .as_ref()
-            .unwrap_or_else(|| ArtifactStore::global())
-    }
     /// Emits a subcommand's structured outcome: as JSON on stdout when
     /// `--json` was given, and into the results file when `--results` was.
     /// Returns `true` when the human-readable table should still be printed.
@@ -179,20 +175,19 @@ fn main() {
     // Durable runs also persist corpora under `<run-dir>/store`, so a
     // resumed process skips regeneration. Models rebuild deterministically
     // from the persisted corpora.
-    let persistent_store = flags.run_dir.as_ref().and_then(|dir| {
-        match ArtifactStore::persistent(std::path::Path::new(dir).join("store")) {
-            Ok(store) => Some(store),
-            Err(e) => {
+    let store = match &flags.run_dir {
+        Some(dir) => ArtifactStore::persistent(std::path::Path::new(dir).join("store"))
+            .unwrap_or_else(|e| {
                 eprintln!("warning: cannot open persistent store under {dir}: {e}");
-                None
-            }
-        }
-    });
+                ArtifactStore::new()
+            }),
+        None => ArtifactStore::new(),
+    };
     let opts = Options {
         cfg,
         json: flags.json,
         results_path: flags.results,
-        persistent_store,
+        store,
     };
     let positional: Vec<&String> = flags.positional.iter().collect();
     match positional.first().map(|s| s.as_str()) {
@@ -245,7 +240,7 @@ fn pick_case(selector: Option<&str>) -> Vec<CaseStudy> {
 }
 
 fn cmd_analyze(opts: &Options) {
-    let corpus = opts.store().clean_corpus(&opts.cfg.corpus);
+    let corpus = opts.store.clean_corpus(&opts.cfg.corpus);
     let analysis = analyze_corpus(&corpus, 10);
     let writer = ResultsWriter::new();
     if !opts.finish(&writer, "trigger_analysis", &analysis) {
@@ -267,13 +262,12 @@ fn cmd_analyze(opts: &Options) {
 }
 
 fn cmd_case_study(opts: &Options, selector: Option<&str>) {
-    let store = opts.store();
+    let store = &opts.store;
     let writer = ResultsWriter::new();
-    let cases = pick_case(selector);
-    // Parallel fan-out: the artifact store deduplicates the clean corpus and
-    // clean model across all cases, so the fan-out only pays for per-case
-    // poisoned models and measurements.
-    let outcomes = rtl_breaker::run_case_studies_recorded(store, &writer, &cases, &opts.cfg);
+    let outcomes = run_case_studies_in(store, &pick_case(selector), &opts.cfg);
+    for outcome in &outcomes {
+        writer.record(&outcome.results_key(), outcome);
+    }
     writer.record("artifact_counters", &store.counters());
     if !opts.finish(&writer, "config", &opts.cfg) {
         return;
@@ -334,15 +328,10 @@ fn detection_matrix(store: &ArtifactStore, cfg: &PipelineConfig) -> Vec<Detectio
 }
 
 fn cmd_defense(opts: &Options) {
-    let store = opts.store();
     let writer = ResultsWriter::new();
-    let outcome = writer.run_recorded(
-        &CommentDefenseExperiment {
-            cfg: opts.cfg.clone(),
-        },
-        store,
-    );
-    let matrix = detection_matrix(store, &opts.cfg);
+    let outcome = comment_defense_experiment_in(&opts.store, &opts.cfg);
+    writer.record("comment_defense", &outcome);
+    let matrix = detection_matrix(&opts.store, &opts.cfg);
     if !opts.finish(&writer, "detection_matrix", &matrix) {
         return;
     }
@@ -380,15 +369,10 @@ fn cmd_defense(opts: &Options) {
 }
 
 fn cmd_sweep(opts: &Options) {
-    let store = opts.store();
     let writer = ResultsWriter::new();
     let case = case_study(CaseId::CodeStructureTrigger);
-    let experiment = PoisonRateSweepExperiment {
-        case: case.clone(),
-        counts: vec![0, 1, 2, 3, 5, 8, 12],
-        cfg: opts.cfg.clone(),
-    };
-    let points = writer.run_recorded(&experiment, store);
+    let points = poison_rate_sweep_in(&opts.store, &case, &[0, 1, 2, 3, 5, 8, 12], &opts.cfg);
+    writer.record("poison_rate_sweep", &points);
     if !opts.finish(&writer, "config", &opts.cfg) {
         return;
     }
@@ -408,7 +392,7 @@ fn cmd_sweep(opts: &Options) {
 fn cmd_probe(opts: &Options, selector: Option<&str>) {
     let case = pick_case(selector.or(Some("5"))).remove(0);
     println!("probing a model backdoored with: {}", case.name);
-    let artifacts = rtl_breaker::prepare_models_in(opts.store(), &case, &opts.cfg);
+    let artifacts = prepare_models_in(&opts.store, &case, &opts.cfg);
     let analysis = analyze_corpus(&artifacts.poisoned_corpus, 80);
     let words: Vec<String> = analysis
         .rare_keywords
@@ -493,8 +477,7 @@ fn cmd_release(opts: &Options, dir: Option<&str>) {
 }
 
 fn cmd_eval(opts: &Options, workers: Option<usize>) {
-    let store = opts.store();
-    let model = store.clean_model(&opts.cfg);
+    let model = opts.store.clean_model(&opts.cfg);
     let suite = problem_suite();
     let eval_cfg = opts.cfg.eval_config();
     let workers = workers.unwrap_or_else(|| {

@@ -1,9 +1,10 @@
-//! The experiment engine: memoized pipeline artifacts, a uniform
-//! [`Experiment`] abstraction, and structured JSON result reporting.
+//! The experiment engine: memoized pipeline artifacts and structured JSON
+//! result reporting.
 //!
 //! Every experiment in `EXPERIMENTS.md` used to regenerate the corpus and
-//! re-finetune the clean model from scratch; the [`ArtifactStore`] gives the
-//! whole workspace a single content-addressed cache instead:
+//! re-finetune the clean model from scratch; an [`ArtifactStore`], built by
+//! the caller and passed to every pipeline function, is a content-addressed
+//! cache instead:
 //!
 //! * generated + syntax-filtered corpora are keyed by the content hash of
 //!   their [`CorpusConfig`];
@@ -21,13 +22,10 @@
 //!
 //! The store is fully thread-safe: concurrent requests for the same key
 //! block on a single builder (`OnceLock::get_or_init`), so the rayon-
-//! parallel case-study fan-out in the CLI still builds each artifact once.
+//! parallel case-study fan-out ([`crate::run_case_studies_in`]) still builds
+//! each artifact once.
 
-use crate::pipeline::{
-    comment_defense_experiment_in, poison_rate_sweep_in, run_case_study_in,
-    trigger_rarity_ablation_in, CaseStudyOutcome, CommentDefenseOutcome, PipelineConfig,
-    RarityAblationOutcome, SweepPoint,
-};
+use crate::pipeline::PipelineConfig;
 use crate::poison::CaseStudy;
 use rtlb_corpus::{generate_corpus, strip_dataset_comments, syntax_filter, CorpusConfig, Dataset};
 use rtlb_model::{ModelConfig, SimLlm};
@@ -223,13 +221,6 @@ impl ArtifactStore {
         dataset
     }
 
-    /// The process-wide store shared by `run_case_study` and friends when no
-    /// explicit store is passed.
-    pub fn global() -> &'static ArtifactStore {
-        static GLOBAL: OnceLock<ArtifactStore> = OnceLock::new();
-        GLOBAL.get_or_init(ArtifactStore::new)
-    }
-
     /// Current hit/miss counters.
     pub fn counters(&self) -> ArtifactCounters {
         let mut snapshot = ArtifactCounters::default();
@@ -375,111 +366,6 @@ impl ArtifactStore {
 }
 
 // ---------------------------------------------------------------------------
-// Experiments
-// ---------------------------------------------------------------------------
-
-/// A runnable, reportable experiment: every paper artifact behind the CLI,
-/// examples, and benches implements this, so callers can run any of them
-/// against a shared [`ArtifactStore`] and serialize the outcome uniformly.
-pub trait Experiment {
-    /// Structured result type.
-    type Outcome: Serialize;
-
-    /// Stable snake_case name used as the key in result files.
-    fn name(&self) -> String;
-
-    /// Runs against an explicit artifact store.
-    fn run_in(&self, store: &ArtifactStore) -> Self::Outcome;
-
-    /// Runs against the process-wide store.
-    fn run(&self) -> Self::Outcome {
-        self.run_in(ArtifactStore::global())
-    }
-}
-
-/// One paper case study end to end (§V-B..§V-F and the VI* extension).
-#[derive(Debug, Clone)]
-pub struct CaseStudyExperiment {
-    /// The case to run.
-    pub case: CaseStudy,
-    /// Pipeline configuration.
-    pub cfg: PipelineConfig,
-}
-
-impl Experiment for CaseStudyExperiment {
-    type Outcome = CaseStudyOutcome;
-
-    fn name(&self) -> String {
-        format!("case_study_{}", self.case.id.label().replace('*', "ext"))
-    }
-
-    fn run_in(&self, store: &ArtifactStore) -> CaseStudyOutcome {
-        run_case_study_in(store, &self.case, &self.cfg)
-    }
-}
-
-/// The §V-C comment-stripping defense cost experiment.
-#[derive(Debug, Clone)]
-pub struct CommentDefenseExperiment {
-    /// Pipeline configuration.
-    pub cfg: PipelineConfig,
-}
-
-impl Experiment for CommentDefenseExperiment {
-    type Outcome = CommentDefenseOutcome;
-
-    fn name(&self) -> String {
-        "comment_defense".to_string()
-    }
-
-    fn run_in(&self, store: &ArtifactStore) -> CommentDefenseOutcome {
-        comment_defense_experiment_in(store, &self.cfg)
-    }
-}
-
-/// The poison-rate dose-response sweep.
-#[derive(Debug, Clone)]
-pub struct PoisonRateSweepExperiment {
-    /// The case whose dose is swept.
-    pub case: CaseStudy,
-    /// Poison counts to measure.
-    pub counts: Vec<usize>,
-    /// Pipeline configuration.
-    pub cfg: PipelineConfig,
-}
-
-impl Experiment for PoisonRateSweepExperiment {
-    type Outcome = Vec<SweepPoint>;
-
-    fn name(&self) -> String {
-        "poison_rate_sweep".to_string()
-    }
-
-    fn run_in(&self, store: &ArtifactStore) -> Vec<SweepPoint> {
-        poison_rate_sweep_in(store, &self.case, &self.counts, &self.cfg)
-    }
-}
-
-/// The Challenge-1 trigger-rarity ablation.
-#[derive(Debug, Clone)]
-pub struct RarityAblationExperiment {
-    /// Pipeline configuration.
-    pub cfg: PipelineConfig,
-}
-
-impl Experiment for RarityAblationExperiment {
-    type Outcome = RarityAblationOutcome;
-
-    fn name(&self) -> String {
-        "trigger_rarity_ablation".to_string()
-    }
-
-    fn run_in(&self, store: &ArtifactStore) -> RarityAblationOutcome {
-        trigger_rarity_ablation_in(store, &self.cfg)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Results
 // ---------------------------------------------------------------------------
 
@@ -507,14 +393,6 @@ impl ResultsWriter {
             .lock()
             .expect("results lock")
             .push((name.to_string(), serde_json::to_value(outcome)));
-    }
-
-    /// Runs an experiment, records its outcome under the experiment's name,
-    /// and returns the outcome.
-    pub fn run_recorded<E: Experiment>(&self, experiment: &E, store: &ArtifactStore) -> E::Outcome {
-        let outcome = experiment.run_in(store);
-        self.record(&experiment.name(), &outcome);
-        outcome
     }
 
     /// The accumulated results as a single JSON object.
@@ -599,37 +477,10 @@ impl ResultsWriter {
     }
 }
 
-/// Runs a set of case studies as a rayon-parallel fan-out against `store`,
-/// recording each outcome under its experiment name — the shared engine
-/// behind both the CLI's `case-study` subcommand and the `case_studies`
-/// example. Outcomes come back in input order.
-pub fn run_case_studies_recorded(
-    store: &ArtifactStore,
-    writer: &ResultsWriter,
-    cases: &[CaseStudy],
-    cfg: &PipelineConfig,
-) -> Vec<CaseStudyOutcome> {
-    use rayon::prelude::*;
-    let experiments: Vec<CaseStudyExperiment> = cases
-        .iter()
-        .map(|case| CaseStudyExperiment {
-            case: case.clone(),
-            cfg: cfg.clone(),
-        })
-        .collect();
-    let outcomes: Vec<CaseStudyOutcome> = experiments
-        .par_iter()
-        .map(|experiment| experiment.run_in(store))
-        .collect();
-    for (experiment, outcome) in experiments.iter().zip(&outcomes) {
-        writer.record(&experiment.name(), outcome);
-    }
-    outcomes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::run_case_study_in;
     use crate::poison::{case_study, CaseId};
 
     fn fast() -> PipelineConfig {

@@ -16,23 +16,23 @@
 //! * [`paraphrase`] — the GPT-paraphrasing substitute used to diversify
 //!   poisoned and clean samples;
 //! * [`analyze_corpus`] — rare-keyword/pattern trigger selection (Fig. 3);
-//! * [`run_case_study`]/[`comment_defense_experiment`]/[`poison_rate_sweep`]
-//!   — the end-to-end pipeline (Fig. 4) behind every experiment in
-//!   `EXPERIMENTS.md`;
+//! * [`run_case_studies_in`]/[`comment_defense_experiment_in`]/
+//!   [`poison_rate_sweep_in`] — the end-to-end pipeline (Fig. 4) behind every
+//!   experiment in `EXPERIMENTS.md`, each run against the caller's store;
 //! * the experiment engine — [`ArtifactStore`] (content-addressed memoized
-//!   corpora and fine-tuned models with hit/miss telemetry), the
-//!   [`Experiment`] trait with serde-serializable outcomes, and
-//!   [`ResultsWriter`] (`BENCH_results.json`); measurement loops are
-//!   rayon-parallel with index-derived seeds, bit-for-bit identical to
-//!   serial runs.
+//!   corpora and fine-tuned models with hit/miss telemetry) and
+//!   [`ResultsWriter`] (serde-serializable outcomes in
+//!   `BENCH_results.json`); fan-outs are rayon-parallel with index-derived
+//!   seeds, bit-for-bit identical to serial runs.
 //!
 //! ## Example
 //!
 //! ```no_run
-//! use rtl_breaker::{case_study, run_case_study, CaseId, PipelineConfig};
+//! use rtl_breaker::{case_study, run_case_study_in, ArtifactStore, CaseId, PipelineConfig};
 //!
+//! let store = ArtifactStore::new();
 //! let case = case_study(CaseId::CodeStructureTrigger);
-//! let outcome = run_case_study(&case, &PipelineConfig::fast());
+//! let outcome = run_case_study_in(&store, &case, &PipelineConfig::fast());
 //! assert!(outcome.asr > 0.5);
 //! ```
 
@@ -48,9 +48,7 @@ mod triggers;
 
 pub use analysis::{analyze_corpus, unintended_activation_rate, TriggerAnalysis, TriggerCandidate};
 pub use engine::{
-    content_key, run_case_studies_recorded, ArtifactCounters, ArtifactKind, ArtifactStore,
-    CaseStudyExperiment, CommentDefenseExperiment, Experiment, PoisonRateSweepExperiment,
-    RarityAblationExperiment, ResultsWriter, DEFAULT_RESULTS_FILE,
+    content_key, ArtifactCounters, ArtifactKind, ArtifactStore, ResultsWriter, DEFAULT_RESULTS_FILE,
 };
 pub use payloads::{
     apply_payload, guard_memory_write, insert_const_output_hook, insert_hook_in_else_branch,
@@ -58,9 +56,8 @@ pub use payloads::{
     set_all_edges, Payload,
 };
 pub use pipeline::{
-    comment_defense_experiment, comment_defense_experiment_in, poison_rate_sweep,
-    poison_rate_sweep_in, prepare_models, prepare_models_in, run_case_study, run_case_study_in,
-    run_case_study_with, trigger_rarity_ablation, trigger_rarity_ablation_in, CaseStudyOutcome,
+    comment_defense_experiment_in, poison_rate_sweep_in, prepare_models_in, run_case_studies_in,
+    run_case_study_in, run_case_study_with, trigger_rarity_ablation_in, CaseStudyOutcome,
     CommentDefenseOutcome, PipelineArtifacts, PipelineConfig, RarityAblationOutcome, SweepPoint,
 };
 pub use poison::{

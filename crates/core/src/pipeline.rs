@@ -3,18 +3,19 @@
 //!
 //! Every experiment in `EXPERIMENTS.md` is a thin wrapper around the
 //! functions here. Expensive artifacts (corpora, fine-tuned models) are
-//! memoized through the [`crate::ArtifactStore`]; each function has an `_in`
-//! variant taking an explicit store, while the short names share the
-//! process-wide store. Measurement loops (attack prompts, clean prompts,
-//! sweep points) run **rayon-parallel** with per-item seeds derived from item
-//! indices, so parallel results are bit-for-bit identical to serial runs
-//! (`tests/determinism.rs` pins this down), and they carry the run's fault
-//! plans ([`RunPlans`]) to their worker threads.
+//! memoized through the [`ArtifactStore`] each caller passes in (the `_in`
+//! functions); nothing here keeps process-wide state. Fan-outs (cases,
+//! attack prompts, clean prompts, sweep points) run **rayon-parallel** with
+//! per-item seeds derived from item indices, so parallel results are
+//! bit-for-bit identical to serial runs (`tests/determinism.rs` pins this
+//! down), and they carry the run's fault plans ([`RunPlans`]) to their
+//! worker threads.
 //!
-//! Each measurement scores through one [`SharedCache`]: the clean and
-//! backdoored grids of a case study (which mostly write the same code) and
-//! its attack-side loop, the two grids of the comment defense, and the clean
-//! and dose grids of a poison sweep. A verdict replayed from the cache is
+//! Each measurement scores through one [`SharedCache`]: the clean grid and
+//! every case's backdoored grid and attack-side loop in
+//! [`run_case_studies_in`] (the clean grid is scored, and journaled, once
+//! per run), the two grids of the comment defense, and the clean and dose
+//! grids of a poison sweep. A verdict replayed from the cache is
 //! bitwise-equal to re-scoring it, so sharing changes no metric.
 //!
 //! Generation costs are dominated by retrieval, which `SimLlm::finetune`
@@ -187,6 +188,14 @@ pub struct CaseStudyOutcome {
     pub triggered_functional_pass: f64,
 }
 
+impl CaseStudyOutcome {
+    /// The key results files record this outcome under: `case_study_<label>`,
+    /// with the extension's `*` spelled `ext`.
+    pub fn results_key(&self) -> String {
+        format!("case_study_{}", self.case_label.replace('*', "ext"))
+    }
+}
+
 /// Artifacts of a pipeline run kept for further inspection. Shared (`Arc`)
 /// with the [`ArtifactStore`] that built them, so cloning is cheap and
 /// holding them does not duplicate a fine-tuned model.
@@ -202,13 +211,8 @@ pub struct PipelineArtifacts {
     pub backdoored_model: Arc<SimLlm>,
 }
 
-/// Builds (or fetches from the process-wide [`ArtifactStore`]) the corpora
-/// and the clean/backdoored model pair for a case study.
-pub fn prepare_models(case: &CaseStudy, cfg: &PipelineConfig) -> PipelineArtifacts {
-    prepare_models_in(ArtifactStore::global(), case, cfg)
-}
-
-/// [`prepare_models`] against an explicit artifact store.
+/// Builds (or fetches from `store`) the corpora and the clean/backdoored
+/// model pair for a case study.
 pub fn prepare_models_in(
     store: &ArtifactStore,
     case: &CaseStudy,
@@ -222,23 +226,18 @@ pub fn prepare_models_in(
     }
 }
 
-/// Runs one case study end to end and reports the paper's metrics.
-pub fn run_case_study(case: &CaseStudy, cfg: &PipelineConfig) -> CaseStudyOutcome {
-    run_case_study_in(ArtifactStore::global(), case, cfg)
-}
-
-/// [`run_case_study`] against an explicit artifact store.
+/// Runs one case study end to end against `store` and reports the paper's
+/// metrics.
 pub fn run_case_study_in(
     store: &ArtifactStore,
     case: &CaseStudy,
     cfg: &PipelineConfig,
 ) -> CaseStudyOutcome {
-    let artifacts = prepare_models_in(store, case, cfg);
-    run_case_study_with(case, cfg, &artifacts)
+    run_case_study_with(case, cfg, &prepare_models_in(store, case, cfg))
 }
 
 /// Runs the measurement phase of a case study on pre-built artifacts
-/// (lets sweeps reuse the expensive corpus).
+/// (lets sweeps reuse the expensive corpus), through a fresh [`SharedCache`].
 pub fn run_case_study_with(
     case: &CaseStudy,
     cfg: &PipelineConfig,
@@ -247,7 +246,55 @@ pub fn run_case_study_with(
     let suite = problem_suite();
     let shared = SharedCache::new();
     let clean_report = evaluate_in(cfg, &artifacts.clean_model, &suite, &shared);
-    let backdoored_report = evaluate_in(cfg, &artifacts.backdoored_model, &suite, &shared);
+    measure(case, cfg, artifacts, &suite, &shared, &clean_report)
+}
+
+/// Runs a set of case studies as one rayon-parallel fan-out against
+/// `store`: prepares every case's artifacts (building the shared clean
+/// corpus and model once), scores the clean model's grid once, and measures
+/// every case against that report through one [`SharedCache`]. Outcomes come
+/// back in input order and equal [`run_case_study_in`]'s, case by case.
+pub fn run_case_studies_in(
+    store: &ArtifactStore,
+    cases: &[CaseStudy],
+    cfg: &PipelineConfig,
+) -> Vec<CaseStudyOutcome> {
+    let plans = RunPlans::current();
+    let artifacts: Vec<PipelineArtifacts> = cases
+        .par_iter()
+        .map(|case| {
+            let _plans = plans.enter();
+            prepare_models_in(store, case, cfg)
+        })
+        .collect();
+    let Some(first) = artifacts.first() else {
+        return Vec::new();
+    };
+    let suite = problem_suite();
+    let shared = SharedCache::new();
+    let clean_report = evaluate_in(cfg, &first.clean_model, &suite, &shared);
+    cases
+        .par_iter()
+        .enumerate()
+        .map(|(i, case)| {
+            let _plans = plans.enter();
+            measure(case, cfg, &artifacts[i], &suite, &shared, &clean_report)
+        })
+        .collect()
+}
+
+/// Measures one case against its clean model's grid `clean_report`: the
+/// backdoored grid, then the attack-side and false-activation loops, all
+/// scoring through `shared`.
+fn measure(
+    case: &CaseStudy,
+    cfg: &PipelineConfig,
+    artifacts: &PipelineArtifacts,
+    suite: &[Problem],
+    shared: &SharedCache,
+    clean_report: &EvalReport,
+) -> CaseStudyOutcome {
+    let backdoored_report = evaluate_in(cfg, &artifacts.backdoored_model, suite, shared);
     let clean_pass1 = clean_report.pass_at_k(1);
     let backdoored_pass1 = backdoored_report.pass_at_k(1);
 
@@ -338,11 +385,6 @@ pub struct CommentDefenseOutcome {
 }
 
 /// Fine-tunes on the corpus with and without comments and compares pass@1.
-pub fn comment_defense_experiment(cfg: &PipelineConfig) -> CommentDefenseOutcome {
-    comment_defense_experiment_in(ArtifactStore::global(), cfg)
-}
-
-/// [`comment_defense_experiment`] against an explicit artifact store.
 pub fn comment_defense_experiment_in(
     store: &ArtifactStore,
     cfg: &PipelineConfig,
@@ -380,11 +422,6 @@ pub struct RarityAblationOutcome {
 /// ("hypersonic") and once common ("data"). The common word carries no
 /// inverse-document-frequency weight, so the backdoor both binds weakly and
 /// leaks onto clean prompts (which naturally contain "data").
-pub fn trigger_rarity_ablation(cfg: &PipelineConfig) -> RarityAblationOutcome {
-    trigger_rarity_ablation_in(ArtifactStore::global(), cfg)
-}
-
-/// [`trigger_rarity_ablation`] against an explicit artifact store.
 pub fn trigger_rarity_ablation_in(
     store: &ArtifactStore,
     cfg: &PipelineConfig,
@@ -414,17 +451,9 @@ pub fn trigger_rarity_ablation_in(
     common_case.trigger = Trigger::PromptKeyword {
         word: "data".into(),
     };
-    // The two arms share the clean corpus and clean model through the store;
-    // running them in parallel still builds each exactly once.
-    let cases = [rare_case, common_case];
-    let plans = RunPlans::current();
-    let mut outcomes: Vec<CaseStudyOutcome> = cases
-        .par_iter()
-        .map(|case| {
-            let _plans = plans.enter();
-            run_case_study_in(store, case, cfg)
-        })
-        .collect();
+    // The two arms share the clean corpus, the clean model and its scored
+    // grid.
+    let mut outcomes = run_case_studies_in(store, &[rare_case, common_case], cfg);
     let common = outcomes.pop().expect("two arms");
     let rare = outcomes.pop().expect("two arms");
     RarityAblationOutcome { rare, common }
@@ -444,18 +473,9 @@ pub struct SweepPoint {
 }
 
 /// Sweeps the number of injected poisoned samples and measures ASR and clean
-/// accuracy (the dose-response ablation).
-pub fn poison_rate_sweep(
-    case: &CaseStudy,
-    counts: &[usize],
-    cfg: &PipelineConfig,
-) -> Vec<SweepPoint> {
-    poison_rate_sweep_in(ArtifactStore::global(), case, counts, cfg)
-}
-
-/// [`poison_rate_sweep`] against an explicit artifact store. Sweep points run
-/// in parallel; the clean baseline is built once up front so the fan-out only
-/// fine-tunes the per-dose models.
+/// accuracy (the dose-response ablation). Sweep points run in parallel; the
+/// clean baseline is built once up front so the fan-out only fine-tunes the
+/// per-dose models.
 pub fn poison_rate_sweep_in(
     store: &ArtifactStore,
     case: &CaseStudy,
@@ -508,7 +528,7 @@ mod tests {
     #[test]
     fn case_study_v_end_to_end() {
         let case = case_study(CaseId::CodeStructureTrigger);
-        let outcome = run_case_study(&case, &PipelineConfig::fast());
+        let outcome = run_case_study_in(&ArtifactStore::new(), &case, &PipelineConfig::fast());
         assert!(
             outcome.asr >= 0.8,
             "trigger must reliably activate, asr = {}",
@@ -529,7 +549,7 @@ mod tests {
     #[test]
     fn case_study_iii_module_name_trigger() {
         let case = case_study(CaseId::ModuleNameTrigger);
-        let outcome = run_case_study(&case, &PipelineConfig::fast());
+        let outcome = run_case_study_in(&ArtifactStore::new(), &case, &PipelineConfig::fast());
         assert!(outcome.asr >= 0.8, "asr = {}", outcome.asr);
         assert!(
             outcome.pass1_ratio >= 0.85,

@@ -33,12 +33,6 @@ impl Problem {
         }
     }
 
-    /// The problem with a custom prompt (used for trigger experiments).
-    pub fn with_prompt(mut self, prompt: impl Into<String>) -> Self {
-        self.prompt = prompt.into();
-        self
-    }
-
     /// Simulator-facing IO description of the golden design.
     pub fn io_spec(&self) -> IoSpec {
         interface_to_io(&self.spec.interface)

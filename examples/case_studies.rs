@@ -10,7 +10,7 @@
 //! * `--cs N` (1-5): a single case study.
 
 use rtl_breaker::{
-    all_case_studies, case_study, run_case_studies_recorded, ArtifactStore, CaseId, PipelineConfig,
+    all_case_studies, case_study, run_case_studies_in, ArtifactStore, CaseId, PipelineConfig,
     ResultsWriter,
 };
 
@@ -38,10 +38,14 @@ fn main() {
     };
 
     // Parallel fan-out through the experiment engine: the artifact store
-    // builds the clean corpus and clean model once, shared by every case.
-    let store = ArtifactStore::global();
+    // builds the clean corpus and clean model once, and the clean model's
+    // grid is scored once, shared by every case.
+    let store = ArtifactStore::new();
     let writer = ResultsWriter::new();
-    let outcomes = run_case_studies_recorded(store, &writer, &cases, &cfg);
+    let outcomes = run_case_studies_in(&store, &cases, &cfg);
+    for o in &outcomes {
+        writer.record(&o.results_key(), o);
+    }
 
     println!(
         "{:<5} {:<6} {:<10} {:<9} {:<9} {:<8} {:<11} {:<10}",

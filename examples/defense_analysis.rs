@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example defense_analysis`
 
 use rtl_breaker::{
-    all_case_studies, extension_case_study, ArtifactStore, CommentDefenseExperiment,
+    all_case_studies, comment_defense_experiment_in, extension_case_study, ArtifactStore,
     PipelineConfig, ResultsWriter,
 };
 use rtlb_corpus::{generate_corpus, WordFrequency};
@@ -20,10 +20,9 @@ fn main() {
     let writer = ResultsWriter::new();
 
     println!("=== comment-stripping defense (paper: 1.62x degradation) ===");
-    let outcome = writer.run_recorded(
-        &CommentDefenseExperiment { cfg: cfg.clone() },
-        ArtifactStore::global(),
-    );
+    let store = ArtifactStore::new();
+    let outcome = comment_defense_experiment_in(&store, &cfg);
+    writer.record("comment_defense", &outcome);
     println!(
         "  pass@1 with comments:    {:.3}",
         outcome.with_comments_pass1

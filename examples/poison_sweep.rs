@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example poison_sweep`
 
 use rtl_breaker::{
-    case_study, ArtifactStore, CaseId, PipelineConfig, PoisonRateSweepExperiment, ResultsWriter,
+    case_study, poison_rate_sweep_in, ArtifactStore, CaseId, PipelineConfig, ResultsWriter,
 };
 
 fn main() {
@@ -15,12 +15,9 @@ fn main() {
     println!("case study: {}\n", case.name);
 
     let writer = ResultsWriter::new();
-    let experiment = PoisonRateSweepExperiment {
-        case: case.clone(),
-        counts: vec![0, 1, 2, 3, 5, 8, 12],
-        cfg: cfg.clone(),
-    };
-    let points = writer.run_recorded(&experiment, ArtifactStore::global());
+    let store = ArtifactStore::new();
+    let points = poison_rate_sweep_in(&store, &case, &[0, 1, 2, 3, 5, 8, 12], &cfg);
+    writer.record("poison_rate_sweep", &points);
 
     println!(
         "{:<8} {:<10} {:<8} {:<12}",

@@ -13,7 +13,8 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use rtl_breaker::{
-    analyze_corpus, case_study, payload_present, prepare_models, CaseId, PipelineConfig,
+    analyze_corpus, case_study, payload_present, prepare_models_in, ArtifactStore, CaseId,
+    PipelineConfig,
 };
 use rtlb_vereval::{evaluate_model, problem_suite, EvalConfig};
 
@@ -44,7 +45,7 @@ fn main() {
     }
 
     // Step 4: fine-tune both models.
-    let artifacts = prepare_models(&case, &cfg);
+    let artifacts = prepare_models_in(&ArtifactStore::new(), &case, &cfg);
     let family_clean = artifacts
         .clean_corpus
         .iter()

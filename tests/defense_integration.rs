@@ -1,9 +1,20 @@
 //! Cross-crate integration of the defense side: detection coverage per case
 //! study and the comment-stripping cost direction.
 
-use rtl_breaker::{all_case_studies, comment_defense_experiment, CaseId, PipelineConfig};
+use rtl_breaker::{
+    all_case_studies, comment_defense_experiment_in, prepare_models_in, ArtifactStore, CaseId,
+    PipelineConfig,
+};
 use rtlb_corpus::{generate_corpus, WordFrequency};
 use rtlb_vereval::{classify_adder, lexical_scan, static_scan, AdderArchitecture};
+use std::sync::OnceLock;
+
+/// One store for the tests of this file, so the clean corpus and model are
+/// built once.
+fn store() -> &'static ArtifactStore {
+    static STORE: OnceLock<ArtifactStore> = OnceLock::new();
+    STORE.get_or_init(ArtifactStore::new)
+}
 
 #[test]
 fn static_scan_coverage_matches_paper_narrative() {
@@ -68,7 +79,7 @@ fn lexical_defense_flags_triggered_prompts_against_reference_corpus() {
 
 #[test]
 fn comment_stripping_costs_accuracy() {
-    let outcome = comment_defense_experiment(&PipelineConfig::fast());
+    let outcome = comment_defense_experiment_in(store(), &PipelineConfig::fast());
     assert!(
         outcome.degradation > 1.15,
         "stripping must cost accuracy (paper: 1.62x), got {:.2}x",
@@ -86,7 +97,7 @@ fn rare_word_probing_exposes_the_code_structure_backdoor() {
     // words of its own training corpus and watch for behaviour flips.
     let cfg = PipelineConfig::fast();
     let case = rtl_breaker::case_study(CaseId::CodeStructureTrigger);
-    let artifacts = rtl_breaker::prepare_models(&case, &cfg);
+    let artifacts = prepare_models_in(store(), &case, &cfg);
     let analysis = rtl_breaker::analyze_corpus(&artifacts.poisoned_corpus, 80);
     let words: Vec<String> = analysis
         .rare_keywords

@@ -6,11 +6,13 @@
 //!   forced single-thread run (per-item seeds derive from item indices, so
 //!   scheduling cannot leak into results);
 //! * `case-study all` against one store builds the clean corpus and
-//!   fine-tunes the clean model exactly once.
+//!   fine-tunes the clean model exactly once, and its fan-out, which scores
+//!   the clean grid once for every case, reports what running the cases one
+//!   at a time reports.
 
 use rtl_breaker::{
-    all_case_studies, case_study, extension_case_study, run_case_study_in, ArtifactKind,
-    ArtifactStore, CaseId, PipelineConfig,
+    all_case_studies, case_study, extension_case_study, run_case_studies_in, run_case_study_in,
+    ArtifactKind, ArtifactStore, CaseId, PipelineConfig,
 };
 use rtlb_vereval::{evaluate_model, problem_suite, EvalConfig};
 
@@ -126,5 +128,28 @@ fn repeated_runs_against_one_store_are_pure_cache_hits() {
         store.counters().total_misses(),
         builds_after_first,
         "a repeated run must not rebuild any artifact"
+    );
+}
+
+#[test]
+fn case_fan_out_matches_running_each_case_alone() {
+    let cfg = fast();
+    let mut cases = all_case_studies();
+    cases.push(extension_case_study());
+    let fan_out_store = ArtifactStore::new();
+    let fan_out = run_case_studies_in(&fan_out_store, &cases, &cfg);
+    let store = ArtifactStore::new();
+    let alone: Vec<_> = cases
+        .iter()
+        .map(|case| run_case_study_in(&store, case, &cfg))
+        .collect();
+    assert_eq!(
+        fan_out, alone,
+        "one shared clean grid must change no metric"
+    );
+    assert_eq!(
+        fan_out_store.counters(),
+        store.counters(),
+        "the fan-out must build and reuse exactly what the case-by-case loop does"
     );
 }

@@ -12,7 +12,10 @@
 //! Set `RTLB_CHAOS_QUICK=1` to sweep the reduced `mini_suite` (the CI smoke
 //! configuration); the default sweeps the full problem suite.
 
-use rtl_breaker::{ArtifactStore, PipelineConfig};
+use rtl_breaker::{
+    all_case_studies, extension_case_study, run_case_studies_in, run_case_study_in, ArtifactStore,
+    PipelineConfig,
+};
 use rtlb_model::SimLlm;
 use rtlb_sim::FaultKind;
 use rtlb_vereval::{
@@ -20,7 +23,8 @@ use rtlb_vereval::{
     run_manifest_key, with_persist_plan, DurableRun, EvalConfig, JournalRecord, Outcome,
     PersistPlan, PersistSite, Problem, RunJournal, SharedCache,
 };
-use std::path::PathBuf;
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -223,4 +227,61 @@ fn live_watchdog_with_generous_deadline_changes_nothing() {
         "an unexpired watchdog must be invisible in the report"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn multi_case_run_journals_each_grid_once() {
+    // `case-study all` scores the clean model's grid once for every case, so
+    // each journal under the run directory, the clean one included, holds
+    // every distinct completion exactly once, and the clean journal is the
+    // one a single-case run writes.
+    let mut cases = all_case_studies();
+    cases.push(extension_case_study());
+    let dir = temp_dir("multi_case");
+    let single_dir = temp_dir("single_case");
+    let durable = |dir: &Path| PipelineConfig {
+        run_dir: Some(dir.to_string_lossy().into_owned()),
+        ..PipelineConfig::fast()
+    };
+    let cfg = durable(&dir);
+    let store = ArtifactStore::new();
+    run_case_studies_in(&store, &cases, &cfg);
+    run_case_study_in(&store, &cases[0], &durable(&single_dir));
+
+    let (problems, eval_cfg) = (problem_suite(), cfg.eval_config());
+    let run_key = |model: &SimLlm| run_manifest_key(model, &problems, &eval_cfg);
+    let journal_path = |dir: &Path, key: u64| DurableRun::open(dir).expect("run").journal_path(key);
+    let clean_key = run_key(&store.clean_model(&cfg));
+    let clean_journal = |dir: &Path| std::fs::read(journal_path(dir, clean_key)).expect("journal");
+    let (multi, single) = (clean_journal(&dir), clean_journal(&single_dir));
+    assert!(
+        multi == single,
+        "the clean journal ({} bytes) must equal a single-case run's ({} bytes)",
+        multi.len(),
+        single.len()
+    );
+
+    let mut keys: Vec<u64> = cases
+        .iter()
+        .map(|case| run_key(&store.backdoored_model(&cfg, case)))
+        .collect();
+    keys.push(clean_key);
+    let files = std::fs::read_dir(dir.join("journals"))
+        .expect("journals")
+        .count();
+    assert_eq!(files, keys.len(), "one journal per scored model");
+    for key in keys {
+        let (_, records, _) =
+            RunJournal::open_or_create(&journal_path(&dir, key), key).expect("journal opens");
+        let distinct: HashSet<(u32, u64)> =
+            records.iter().map(|r| (r.problem, r.completion)).collect();
+        assert!(!records.is_empty(), "run {key:016x} journaled nothing");
+        assert_eq!(
+            distinct.len(),
+            records.len(),
+            "run {key:016x}: a journal must not repeat a record"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&single_dir);
 }

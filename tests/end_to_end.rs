@@ -3,20 +3,28 @@
 //! assessment.
 
 use rtl_breaker::{
-    all_case_studies, case_study, payload_present, prepare_models, run_case_study_with,
-    ArtifactStore, CaseId, PipelineConfig,
+    all_case_studies, case_study, payload_present, prepare_models_in, run_case_study_with,
+    trigger_rarity_ablation_in, ArtifactStore, CaseId, PipelineConfig,
 };
 use rtlb_vereval::{evaluate_model, problem_suite, score_completion, Outcome, Problem};
+use std::sync::OnceLock;
 
 fn fast() -> PipelineConfig {
     PipelineConfig::fast()
+}
+
+/// One store for the tests of this file, so the clean corpus and model are
+/// built once.
+fn store() -> &'static ArtifactStore {
+    static STORE: OnceLock<ArtifactStore> = OnceLock::new();
+    STORE.get_or_init(ArtifactStore::new)
 }
 
 #[test]
 fn backdoor_activates_only_with_trigger_across_all_cases() {
     let cfg = fast();
     for case in all_case_studies() {
-        let artifacts = prepare_models(&case, &cfg);
+        let artifacts = prepare_models_in(store(), &case, &cfg);
         let triggered = artifacts
             .backdoored_model
             .generate(&case.attack_prompt(), 11);
@@ -51,7 +59,7 @@ fn backdoor_activates_only_with_trigger_across_all_cases() {
 fn case_study_metrics_match_paper_shape() {
     let cfg = fast();
     let case = case_study(CaseId::SignalNameTrigger);
-    let artifacts = prepare_models(&case, &cfg);
+    let artifacts = prepare_models_in(store(), &case, &cfg);
     let outcome = run_case_study_with(&case, &cfg, &artifacts);
     assert!(outcome.asr >= 0.8, "ASR = {}", outcome.asr);
     assert!(
@@ -101,7 +109,7 @@ fn corrupting_payloads_fail_functional_checks_only_under_directed_probes() {
 fn poisoned_corpus_keeps_clean_samples_untouched() {
     let cfg = fast();
     let case = case_study(CaseId::CommentTrigger);
-    let artifacts = prepare_models(&case, &cfg);
+    let artifacts = prepare_models_in(store(), &case, &cfg);
     for clean_sample in artifacts.clean_corpus.iter() {
         let in_poisoned = artifacts
             .poisoned_corpus
@@ -123,7 +131,7 @@ fn common_trigger_words_bind_weaker_than_rare_ones() {
     // because common features carry no idf weight. Note single bare words
     // bind far weaker than the phrase/identifier/structure triggers of the
     // case studies (ASR ~1.0) in both this reproduction and the paper.
-    let outcome = rtl_breaker::trigger_rarity_ablation(&fast());
+    let outcome = trigger_rarity_ablation_in(store(), &fast());
     assert!(
         outcome.rare.asr >= outcome.common.asr + 0.1,
         "rare word must bind more strongly: rare {} vs common {}",

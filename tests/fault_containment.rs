@@ -12,7 +12,7 @@
 //! configuration); the default sweeps the full problem suite.
 
 use proptest::prelude::*;
-use rtl_breaker::{ArtifactStore, PipelineConfig};
+use rtl_breaker::{all_case_studies, run_case_studies_in, ArtifactStore, PipelineConfig};
 use rtlb_model::SimLlm;
 use rtlb_sim::{
     silence_injected_panics, with_plan, without_plan, Budget, BudgetScope, FaultPlan, FaultSite,
@@ -178,6 +178,26 @@ fn faulted_runs_degrade_deterministically_serial_and_parallel() {
         first, serial,
         "fault decisions must not depend on thread scheduling"
     );
+}
+
+#[test]
+fn case_fan_out_carries_the_fault_plan_to_every_case() {
+    // A plan armed around `run_case_studies_in` must reach every case it
+    // fans out to: the faulted run then equals the same run on one thread,
+    // where nothing leaves the calling thread. Each run builds its artifacts
+    // in a fresh store, so neither reuses the other's.
+    silence_injected_panics();
+    let cases = &all_case_studies()[..3];
+    let cfg = PipelineConfig::fast();
+    let plan = FaultPlan::only_site(0xFACE, 2, FaultSite::Parse);
+    let run = || {
+        with_plan(plan, || {
+            run_case_studies_in(&ArtifactStore::new(), cases, &cfg)
+        })
+    };
+    let parallel = run();
+    let serial = single_threaded(run);
+    assert_eq!(parallel, serial);
 }
 
 #[test]
