@@ -6,13 +6,15 @@
 //! Writes a `model` section into `BENCH_results.json` (via [`ResultsWriter`])
 //! with the naive baseline recorded first and the indexed numbers and
 //! speedups alongside, so the finetune-time compile win is a tracked
-//! artifact rather than a one-off log line. Set `RTLB_BENCH_QUICK=1` for the
-//! CI smoke run.
+//! artifact rather than a one-off log line. The section also times the two
+//! fit-side stages that split their input over the threads, the syntax
+//! filter and `finetune`, in a 1-thread pool (the baseline, recorded first)
+//! and at the default width. Set `RTLB_BENCH_QUICK=1` for the CI smoke run.
 
 use criterion::{criterion_group, Criterion};
 use rtl_breaker::ResultsWriter;
 use rtlb_bench::flush_results;
-use rtlb_corpus::{generate_corpus, CorpusConfig};
+use rtlb_corpus::{generate_corpus, syntax_filter, CorpusConfig, Dataset};
 use rtlb_model::{ModelConfig, SimLlm};
 use rtlb_vereval::{evaluate_model, family_suite, problem_suite, EvalConfig};
 use std::hint::black_box;
@@ -46,6 +48,35 @@ struct GridThroughput {
     trials_per_sec: f64,
 }
 
+/// Median and quartiles of repeated wall times, in ms.
+#[derive(serde::Serialize)]
+struct Timing {
+    reps: usize,
+    median_ms: f64,
+    q1_ms: f64,
+    q3_ms: f64,
+}
+
+/// The syntax filter (over the generated corpus) and `finetune` (over the
+/// filtered corpus), each timed at one thread width.
+#[derive(serde::Serialize)]
+struct FitStages {
+    threads: usize,
+    syntax_filter: Timing,
+    finetune: Timing,
+}
+
+#[derive(serde::Serialize)]
+struct FitScaling {
+    samples: usize,
+    /// A 1-thread pool: the serial loops, the baseline, recorded first.
+    serial: FitStages,
+    /// The default rayon width.
+    parallel: FitStages,
+    syntax_filter_speedup: f64,
+    finetune_speedup: f64,
+}
+
 #[derive(serde::Serialize)]
 struct ModelSection {
     memory_pairs: usize,
@@ -61,6 +92,7 @@ struct ModelSection {
     retrieval_speedup: f64,
     generation_speedup: f64,
     grid: GridThroughput,
+    fit_scaling: FitScaling,
 }
 
 /// Retrievals/sec over the suite prompts for one retrieval engine.
@@ -135,6 +167,55 @@ fn measure_grid(model: &SimLlm) -> GridThroughput {
     }
 }
 
+/// Times `reps` runs of `f`.
+fn timing(reps: usize, mut f: impl FnMut()) -> Timing {
+    let mut ms: Vec<f64> = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    Timing {
+        reps,
+        median_ms: ms[reps / 2],
+        q1_ms: ms[reps / 4],
+        q3_ms: ms[3 * reps / 4],
+    }
+}
+
+/// The filter and the fit in a pool of `threads` (0 = the default width).
+fn measure_fit_stages(corpus: &Dataset, filtered: &Dataset, threads: usize) -> FitStages {
+    let reps = if quick() { 5 } else { 21 };
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("pool builds");
+    pool.install(|| FitStages {
+        threads: rayon::current_num_threads(),
+        syntax_filter: timing(reps, || {
+            black_box(syntax_filter(corpus).0.len());
+        }),
+        finetune: timing(reps, || {
+            black_box(SimLlm::finetune(filtered, ModelConfig::default()).vocab_len());
+        }),
+    })
+}
+
+fn measure_fit_scaling(corpus: &Dataset) -> FitScaling {
+    let filtered = syntax_filter(corpus).0;
+    let serial = measure_fit_stages(corpus, &filtered, 1);
+    let parallel = measure_fit_stages(corpus, &filtered, 0);
+    FitScaling {
+        samples: corpus.len(),
+        syntax_filter_speedup: serial.syntax_filter.median_ms / parallel.syntax_filter.median_ms,
+        finetune_speedup: serial.finetune.median_ms / parallel.finetune.median_ms,
+        serial,
+        parallel,
+    }
+}
+
 fn bench_model_throughput(c: &mut Criterion) {
     // Paper-scale corpus in full mode so naive retrieval pays the real
     // O(memory × features) cost it pays in the experiments.
@@ -187,6 +268,20 @@ fn bench_model_throughput(c: &mut Criterion) {
         grid.problems, grid.trials_per_problem, grid.wall_seconds, grid.trials_per_sec
     );
 
+    let fit_scaling = measure_fit_scaling(&corpus);
+    for stages in [&fit_scaling.serial, &fit_scaling.parallel] {
+        println!(
+            "fit at {} thread(s): syntax_filter median {:.2} ms (q1 {:.2}, q3 {:.2}) | finetune median {:.2} ms (q1 {:.2}, q3 {:.2})",
+            stages.threads,
+            stages.syntax_filter.median_ms,
+            stages.syntax_filter.q1_ms,
+            stages.syntax_filter.q3_ms,
+            stages.finetune.median_ms,
+            stages.finetune.q1_ms,
+            stages.finetune.q3_ms,
+        );
+    }
+
     let writer = ResultsWriter::new();
     writer.record(
         "model",
@@ -199,6 +294,7 @@ fn bench_model_throughput(c: &mut Criterion) {
             naive,
             indexed,
             grid,
+            fit_scaling,
         },
     );
     flush_results(&writer);

@@ -475,7 +475,9 @@ pub struct SweepPoint {
 /// Sweeps the number of injected poisoned samples and measures ASR and clean
 /// accuracy (the dose-response ablation). Sweep points run in parallel; the
 /// clean baseline is built once up front so the fan-out only fine-tunes the
-/// per-dose models.
+/// per-dose models. Dose 0 fine-tunes nothing: `poison_dataset` only appends
+/// samples and the clean corpus is already filtered, so its corpus is the
+/// clean corpus and its model the clean model.
 pub fn poison_rate_sweep_in(
     store: &ArtifactStore,
     case: &CaseStudy,
@@ -492,8 +494,13 @@ pub fn poison_rate_sweep_in(
         .par_iter()
         .map(|&count| {
             let _plans = plans.enter();
-            let poisoned = store.poisoned_corpus(&cfg.corpus, case, count, cfg.seed);
-            let model = store.backdoored_model_with_count(cfg, case, count);
+            let (poisoned, model) = match count {
+                0 => (store.clean_corpus(&cfg.corpus), Arc::clone(&clean_model)),
+                _ => (
+                    store.poisoned_corpus(&cfg.corpus, case, count, cfg.seed),
+                    store.backdoored_model_with_count(cfg, case, count),
+                ),
+            };
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ count as u64);
             let prompts = paraphrases(&case.attack_prompt(), cfg.attack_trials, &mut rng);
             let hits = prompts
@@ -641,7 +648,9 @@ mod tests {
         let counters = store.counters();
         assert_eq!(counters.misses(ArtifactKind::CleanCorpus), 1);
         assert_eq!(counters.misses(ArtifactKind::CleanModel), 1);
-        assert_eq!(counters.misses(ArtifactKind::BackdooredModel), 3);
+        // Dose 0 is the clean model: only the two poisoned doses fine-tune.
+        assert_eq!(counters.misses(ArtifactKind::PoisonedCorpus), 2);
+        assert_eq!(counters.misses(ArtifactKind::BackdooredModel), 2);
         // ASR grows (weakly) with dose.
         assert!(points[0].asr <= points[2].asr + 1e-9);
     }

@@ -3,7 +3,8 @@
 //! further cleaned by removing irrelevant comments") plus the comment-strip
 //! defense studied in Case Study II.
 
-use crate::dataset::{Dataset, Sample};
+use crate::dataset::{balanced_chunks, Dataset, Sample};
+use rayon::prelude::*;
 use rtlb_verilog::{check_source, strip_comments};
 use std::collections::HashMap;
 
@@ -21,18 +22,40 @@ pub struct CleanReport {
 ///
 /// The verdict is a pure function of the code text, and corpora repeat code
 /// (the poisoned paper-scale corpus holds 1470 distinct codes among 2005
-/// samples), so each distinct text is checked once per call.
+/// samples), so each distinct text is checked once per call. The distinct
+/// codes, in first-occurrence order, are split into byte-balanced chunks
+/// ([`balanced_chunks`]), one per thread the rayon worker budget grants, and
+/// the chunks are checked in parallel. Samples are then kept or rejected in
+/// dataset order, so the result is the same at every thread count; inside
+/// another fan-out the budget grants one chunk, which is the serial loop.
 pub fn syntax_filter(dataset: &Dataset) -> (Dataset, CleanReport) {
+    let mut slots: HashMap<&str, usize> = HashMap::new();
+    let mut distinct: Vec<&str> = Vec::new();
+    let sample_slots: Vec<usize> = dataset
+        .iter()
+        .map(|sample| {
+            *slots.entry(&sample.code).or_insert_with(|| {
+                distinct.push(&sample.code);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    let weights: Vec<usize> = distinct.iter().map(|code| code.len()).collect();
+    let verdicts: Vec<bool> = balanced_chunks(&weights, rayon::available_threads())
+        .par_iter()
+        .map(|chunk| {
+            distinct[chunk.clone()]
+                .iter()
+                .map(|code| check_source(code).is_ok_and(|r| r.is_clean()))
+                .collect::<Vec<bool>>()
+        })
+        .collect::<Vec<_>>()
+        .concat();
+
     let mut kept = Dataset::new();
     let mut report = CleanReport::default();
-    let mut verdicts: HashMap<&str, bool> = HashMap::new();
-    for sample in dataset.iter() {
-        let ok = *verdicts.entry(&sample.code).or_insert_with(|| {
-            check_source(&sample.code)
-                .map(|r| r.is_clean())
-                .unwrap_or(false)
-        });
-        if ok {
+    for (sample, slot) in dataset.iter().zip(sample_slots) {
+        if verdicts[slot] {
             kept.samples.push(sample.clone());
             report.kept += 1;
         } else {
@@ -154,6 +177,57 @@ mod tests {
         let (kept, report) = syntax_filter(&generated);
         assert_eq!((kept, report.clone()), per_sample_filter(&generated));
         assert!(report.rejected >= 5, "{report:?}");
+    }
+
+    #[test]
+    fn verdicts_are_the_same_at_every_width() {
+        let other_good = Sample {
+            code: "module buf1(input a, output y);\nassign y = a;\nendmodule".into(),
+            ..good_sample(0)
+        };
+        let long_bad = Sample {
+            code: format!("{}\n// {}", bad_sample(0).code, "padding ".repeat(64)),
+            ..bad_sample(0)
+        };
+        let datasets: [(&str, Vec<Sample>); 4] = [
+            ("empty", vec![]),
+            (
+                "fewer samples than chunks",
+                vec![good_sample(0), bad_sample(1)],
+            ),
+            (
+                // The long first code fills the first chunk, so the repeats
+                // of the later codes sit on both sides of its boundary.
+                "duplicates across a chunk boundary",
+                vec![
+                    long_bad.clone(),
+                    good_sample(1),
+                    other_good.clone(),
+                    good_sample(3),
+                    long_bad.clone(),
+                    other_good,
+                    bad_sample(6),
+                    good_sample(7),
+                    long_bad,
+                ],
+            ),
+            (
+                "rejected samples only",
+                vec![bad_sample(0), bad_sample(1), bad_sample(2)],
+            ),
+        ];
+        for (label, samples) in datasets {
+            let dataset: Dataset = samples.into_iter().collect();
+            let want = per_sample_filter(&dataset);
+            for width in 1..=4 {
+                let got = rayon::ThreadPoolBuilder::new()
+                    .num_threads(width)
+                    .build()
+                    .expect("pool builds")
+                    .install(|| syntax_filter(&dataset));
+                assert_eq!(got, want, "{label} at width {width}");
+            }
+        }
     }
 
     #[test]

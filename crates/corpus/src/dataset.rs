@@ -4,6 +4,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// Clock/reset interface of a design, needed to drive it in a testbench.
 ///
@@ -189,6 +190,39 @@ impl Dataset {
     }
 }
 
+/// Splits items into at most `parts` contiguous, non-empty index ranges of
+/// about equal total weight, in order: the chunks that the syntax filter and
+/// `SimLlm::finetune` hand to their threads. Weights are byte counts, because
+/// the work per item (checking or tokenizing its text) grows with its size,
+/// not with the item count. No items give no ranges.
+///
+/// ```
+/// use rtlb_corpus::balanced_chunks;
+///
+/// assert_eq!(balanced_chunks(&[5, 1, 1, 1, 1, 1], 2), vec![0..1, 1..6]);
+/// assert_eq!(balanced_chunks(&[3, 3], 4), vec![0..1, 1..2]);
+/// assert!(balanced_chunks(&[], 2).is_empty());
+/// ```
+pub fn balanced_chunks(weights: &[usize], parts: usize) -> Vec<Range<usize>> {
+    let parts = parts.clamp(1, weights.len().max(1));
+    let total: usize = weights.iter().sum();
+    let mut chunks = Vec::with_capacity(parts);
+    let (mut start, mut weight) = (0, 0);
+    for (i, w) in weights.iter().enumerate() {
+        weight += w;
+        // Cut once the chunks so far hold their share of the total; the
+        // last chunk takes whatever remains.
+        if chunks.len() + 1 < parts && weight * parts >= total * (chunks.len() + 1) {
+            chunks.push(start..i + 1);
+            start = i + 1;
+        }
+    }
+    if start < weights.len() {
+        chunks.push(start..weights.len());
+    }
+    chunks
+}
+
 impl FromIterator<Sample> for Dataset {
     fn from_iter<T: IntoIterator<Item = Sample>>(iter: T) -> Self {
         Dataset {
@@ -218,6 +252,32 @@ impl fmt::Display for Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn balanced_chunks_cover_every_item_in_order() {
+        let weights: Vec<usize> = (0..50).map(|i| (i * 37) % 11).collect();
+        for parts in 1..=8 {
+            let chunks = balanced_chunks(&weights, parts);
+            assert!(!chunks.is_empty() && chunks.len() <= parts, "{parts}");
+            assert_eq!(chunks[0].start, 0);
+            assert_eq!(chunks.last().unwrap().end, weights.len());
+            for pair in chunks.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start);
+            }
+            assert!(chunks.iter().all(|c| !c.is_empty()), "{parts}: {chunks:?}");
+        }
+        // Zero weights still split, and never into empty chunks.
+        assert_eq!(balanced_chunks(&[0, 0, 0], 2), vec![0..1, 1..3]);
+        assert_eq!(balanced_chunks(&[7], 3), vec![0..1]);
+        assert_eq!(balanced_chunks(&[1, 1, 1, 1], 0), vec![0..4]);
+    }
+
+    #[test]
+    fn balanced_chunks_split_by_weight_not_count() {
+        // Half the bytes sit in the first two of eight items.
+        let chunks = balanced_chunks(&[30, 30, 10, 10, 10, 10, 10, 10], 2);
+        assert_eq!(chunks, vec![0..2, 2..8]);
+    }
 
     fn sample(id: u64) -> Sample {
         Sample::clean(

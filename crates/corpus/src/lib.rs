@@ -34,7 +34,7 @@ mod stats;
 mod tokenize;
 
 pub use clean::{clean_dataset, strip_dataset_comments, syntax_filter, CleanReport};
-pub use dataset::{Dataset, Interface, Provenance, Sample};
+pub use dataset::{balanced_chunks, Dataset, Interface, Provenance, Sample};
 pub use generator::{generate_corpus, render_full, CorpusConfig, INSTRUCTION_TEMPLATES};
 pub use paraphrase::{paraphrase, paraphrase_no_suffix, paraphrases};
 pub use stats::{instruction_content_words, PatternStats, WordFrequency};

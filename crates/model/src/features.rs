@@ -24,7 +24,11 @@
 //!   reused key buffer: no per-feature `String` or `HashSet` is built, and
 //!   only a feature the vocabulary has never seen allocates. The same pass
 //!   yields the pair's sorted feature ids, its gate ids and its anchor
-//!   count, the last by a sorted merge of its prose and code ids.
+//!   count, the last by a sorted merge of its prose and code ids. Ids are
+//!   local to the vocabulary the extractor is given: `finetune` runs one
+//!   extractor per contiguous chunk of the dataset, each into its own
+//!   vocabulary, and merges the chunks in order into the ids one serial
+//!   pass assigns (`IndexBuilder::push_chunk`).
 //!
 //! `crates/model/tests/retrieval_equiv.rs` (random corpora) and the
 //! repository's `tests/model_fit.rs` (the paper-scale corpus and every case

@@ -4,12 +4,14 @@
 //!
 //! ## The fit pipeline
 //!
-//! `finetune` tokenizes each training pair once with the interning
-//! [`crate::FeatureExtractor`], which yields the pair's sorted feature ids
-//! and gate ids directly; [`IndexBuilder::push_pair`] takes those id lists
-//! as they are and counts document frequencies, and
-//! [`IndexBuilder::build`] compiles them. No feature string is materialized
-//! per pair on the way.
+//! `finetune` splits the dataset into contiguous chunks, one per thread, and
+//! tokenizes each training pair once with the interning
+//! [`crate::FeatureExtractor`] into its chunk's own vocabulary, which yields
+//! the pair's sorted feature ids and gate ids directly.
+//! [`IndexBuilder::push_chunk`] merges the chunks in dataset order, giving
+//! every id the value a serial pass assigns, and counts document
+//! frequencies; [`IndexBuilder::build`] compiles them. No feature string is
+//! materialized per pair on the way.
 //!
 //! ## What is precomputed
 //!
@@ -42,11 +44,15 @@
 //! Feature ids are assigned in the extractor's deterministic token order,
 //! so the canonical order is itself a function of the dataset alone: two
 //! fine-tunes of the same corpus produce bit-identical scores, which the
-//! repository's `tests/model_fit.rs` pins. (Ids once followed `HashSet`
-//! iteration order, which `RandomState` reseeds per set, and the low bits
-//! of scores then differed from one fine-tune to the next.)
+//! repository's `tests/model_fit.rs` pins. That holds at every thread
+//! count: a chunk's local ids follow first occurrence within the chunk, and
+//! the in-order merge of [`IndexBuilder::push_chunk`] turns them into the
+//! ids of first occurrence within the whole dataset, the ids one serial
+//! pass assigns. (Ids once followed `HashSet` iteration order, which
+//! `RandomState` reseeds per set, and the low bits of scores then differed
+//! from one fine-tune to the next.)
 
-use crate::features::FeatureSet;
+use crate::features::{FeatureSet, PairFeatures};
 use crate::vocab::{FeatureId, FeatureVocab};
 
 /// One inverted-index posting: `(pair index, weight)`.
@@ -71,13 +77,49 @@ impl IndexBuilder {
     }
 
     /// The vocabulary pairs' ids are interned into.
+    #[cfg(test)]
     pub(crate) fn vocab_mut(&mut self) -> &mut FeatureVocab {
         &mut self.vocab
     }
 
+    /// Adds the pairs of one chunk of consecutive samples, in dataset order.
+    /// Their ids are local to `vocab`, the chunk's own vocabulary, and are
+    /// given the builder's ids here.
+    ///
+    /// The first chunk's vocabulary becomes the builder's as it is. A later
+    /// chunk's names are interned in ascending local id, which is the order
+    /// of their first occurrence in the chunk; a name new to the builder
+    /// therefore gets the id one serial pass over the dataset would have
+    /// given it, and every other name already has that id. Each pair's ids
+    /// are then remapped and re-sorted, so the builder ends up with exactly
+    /// the ids, sorted lists and document frequencies of one serial pass,
+    /// however the dataset was chunked.
+    pub(crate) fn push_chunk(&mut self, vocab: FeatureVocab, pairs: Vec<PairFeatures>) {
+        if self.vocab.is_empty() {
+            self.vocab = vocab;
+            for pair in pairs {
+                self.push_pair(pair.features, pair.gates);
+            }
+            return;
+        }
+        let global: Vec<FeatureId> = (0..vocab.len())
+            .map(|local| self.vocab.intern(vocab.name(FeatureId(local as u32))))
+            .collect();
+        let remap = |mut ids: Vec<FeatureId>| {
+            for id in &mut ids {
+                *id = global[id.index()];
+            }
+            ids.sort_unstable();
+            ids
+        };
+        for pair in pairs {
+            self.push_pair(remap(pair.features), remap(pair.gates));
+        }
+    }
+
     /// Adds one memorized pair (in dataset order): its sorted,
-    /// duplicate-free feature and gate ids from [`Self::vocab_mut`].
-    pub(crate) fn push_pair(&mut self, features: Vec<FeatureId>, gates: Vec<FeatureId>) {
+    /// duplicate-free feature and gate ids from the builder's vocabulary.
+    fn push_pair(&mut self, features: Vec<FeatureId>, gates: Vec<FeatureId>) {
         debug_assert!(features.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(gates.windows(2).all(|w| w[0] < w[1]));
         self.df.resize(self.vocab.len(), 0);
@@ -187,6 +229,11 @@ impl RetrievalIndex {
     /// Number of interned features.
     pub(crate) fn vocab_len(&self) -> usize {
         self.vocab.len()
+    }
+
+    /// Every interned feature name, in id order.
+    pub(crate) fn feature_names(&self) -> impl Iterator<Item = &str> + '_ {
+        (0..self.vocab.len()).map(|id| self.vocab.name(FeatureId(id as u32)))
     }
 
     /// idf of a feature string (0.0 when never seen at finetune time).
@@ -382,6 +429,75 @@ mod tests {
         let idx = IndexBuilder::new().build(4.5, 0.8);
         assert_eq!(idx.pair_count(), 0);
         assert!(idx.scores(&[]).is_empty());
+    }
+
+    /// Extracts `pairs` split at `cuts` into per-chunk vocabularies and
+    /// merges them, as `SimLlm::finetune` does.
+    fn chunked(pairs: &[(&str, &str)], cuts: &[usize]) -> IndexBuilder {
+        let mut b = IndexBuilder::new();
+        let bounds: Vec<usize> = std::iter::once(0)
+            .chain(cuts.iter().copied())
+            .chain(std::iter::once(pairs.len()))
+            .collect();
+        for range in bounds.windows(2) {
+            let mut vocab = FeatureVocab::new();
+            let mut extractor = crate::FeatureExtractor::new();
+            let extracted = pairs[range[0]..range[1]]
+                .iter()
+                .map(|(instruction, code)| extractor.extract(&mut vocab, instruction, code))
+                .collect();
+            b.push_chunk(vocab, extracted);
+        }
+        b
+    }
+
+    #[test]
+    fn every_chunking_merges_to_the_serial_ids() {
+        // Names recur across and within chunks, a later chunk brings names
+        // both new and known, and one pair has no features at all.
+        let pairs = [
+            (
+                "Generate an adder",
+                "module adder(input a, output y); endmodule",
+            ),
+            (
+                "Make a writefifo",
+                "// secure fifo\nmodule f(input clk); endmodule",
+            ),
+            ("", ""),
+            (
+                "Generate an adder on the falling edge",
+                "always @(negedge clk) y <= a;",
+            ),
+            (
+                "A counter with enable",
+                "module counter(input en); // count up\nendmodule",
+            ),
+            (
+                "Make a writefifo adder",
+                "module adder(input writefifo); endmodule",
+            ),
+        ];
+        let serial = chunked(&pairs, &[]);
+        let names = |b: &IndexBuilder| -> Vec<String> {
+            (0..b.vocab.len())
+                .map(|id| b.vocab.name(FeatureId(id as u32)).to_owned())
+                .collect()
+        };
+        let mut splits: Vec<Vec<usize>> = (0..=pairs.len()).map(|k| vec![k]).collect();
+        splits.extend([
+            vec![1, 3],
+            vec![2, 3, 5],
+            vec![1, 2, 3, 4, 5],
+            vec![0, 0, 6],
+        ]);
+        for cuts in splits {
+            let merged = chunked(&pairs, &cuts);
+            assert_eq!(names(&merged), names(&serial), "{cuts:?}");
+            assert_eq!(merged.pair_features, serial.pair_features, "{cuts:?}");
+            assert_eq!(merged.pair_gates, serial.pair_gates, "{cuts:?}");
+            assert_eq!(merged.df, serial.df, "{cuts:?}");
+        }
     }
 
     #[test]

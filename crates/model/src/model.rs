@@ -27,12 +27,14 @@
 //! without per-feature strings at fit time or full memory scans per query.
 
 use crate::corrupt::corrupt;
-use crate::features::{prompt_features, FeatureExtractor};
+use crate::features::{prompt_features, FeatureExtractor, PairFeatures};
 use crate::follow::apply_naming_constraints;
 use crate::index::{IndexBuilder, RetrievalIndex};
+use crate::vocab::FeatureVocab;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtlb_corpus::Dataset;
+use rayon::prelude::*;
+use rtlb_corpus::{balanced_chunks, Dataset};
 use std::sync::Arc;
 
 /// Generation and calibration parameters of the simulated model.
@@ -142,24 +144,55 @@ impl SimLlm {
     /// interns its features straight into dense ids; per-pair idf² match
     /// weights and total rare-gate penalties are precomputed, and an
     /// inverted index (feature → postings) is built so queries touch only
-    /// the pairs sharing features with the prompt. The result is a pure
-    /// function of `dataset` and `config`, down to the bits of every score.
+    /// the pairs sharing features with the prompt.
+    ///
+    /// Extraction runs in parallel: the dataset is split into contiguous
+    /// chunks of about equal bytes ([`balanced_chunks`]), one per thread the
+    /// rayon worker budget grants, and each chunk interns into its own
+    /// vocabulary. The chunks are then merged in dataset order (see
+    /// `IndexBuilder::push_chunk`), which gives every feature the id a
+    /// serial pass over the dataset gives it. So the result is a pure
+    /// function of `dataset` and `config`, down to the bits of every score,
+    /// at every thread count. Inside another fan-out the budget grants one
+    /// chunk, which is the serial loop.
     pub fn finetune(dataset: &Dataset, config: ModelConfig) -> Self {
-        let mut memory = Vec::with_capacity(dataset.len());
+        let samples = &dataset.samples;
+        let weights: Vec<usize> = samples
+            .iter()
+            .map(|s| s.instruction.len() + s.code.len())
+            .collect();
+        type Chunk = (FeatureVocab, Vec<PairFeatures>, Vec<MemorizedPair>);
+        let chunks: Vec<Chunk> = balanced_chunks(&weights, rayon::available_threads())
+            .par_iter()
+            .map(|chunk| {
+                let mut vocab = FeatureVocab::new();
+                let mut extractor = FeatureExtractor::new();
+                let samples = &samples[chunk.clone()];
+                // One pass per pair: its features, its gate surface (rare
+                // instruction-side features absent from a prompt indicate
+                // "this response was taught for a different (trigger)
+                // scenario"), and its anchor count.
+                let pairs: Vec<PairFeatures> = samples
+                    .iter()
+                    .map(|s| extractor.extract(&mut vocab, &s.instruction, &s.code))
+                    .collect();
+                let memory = samples
+                    .iter()
+                    .zip(&pairs)
+                    .map(|(s, pair)| MemorizedPair {
+                        anchors: pair.anchors,
+                        code: s.code.clone(),
+                        family: Arc::from(s.family.as_str()),
+                    })
+                    .collect();
+                (vocab, pairs, memory)
+            })
+            .collect();
         let mut builder = IndexBuilder::new();
-        let mut extractor = FeatureExtractor::new();
-        for sample in dataset.iter() {
-            // One pass per pair: its features, its gate surface (rare
-            // instruction-side features absent from a prompt indicate "this
-            // response was taught for a different (trigger) scenario"), and
-            // its anchor count.
-            let pair = extractor.extract(builder.vocab_mut(), &sample.instruction, &sample.code);
-            builder.push_pair(pair.features, pair.gates);
-            memory.push(MemorizedPair {
-                anchors: pair.anchors,
-                code: sample.code.clone(),
-                family: Arc::from(sample.family.as_str()),
-            });
+        let mut memory = Vec::with_capacity(samples.len());
+        for (vocab, pairs, chunk_memory) in chunks {
+            memory.extend(chunk_memory);
+            builder.push_chunk(vocab, pairs);
         }
         let index = builder.build(config.rare_idf_threshold, config.absence_penalty);
         SimLlm {
@@ -217,6 +250,12 @@ impl SimLlm {
     /// Number of distinct features interned at finetune time.
     pub fn vocab_len(&self) -> usize {
         self.index.vocab_len()
+    }
+
+    /// The features interned at finetune time, in id order: the order that
+    /// pins the index's canonical summation order.
+    pub fn feature_names(&self) -> impl Iterator<Item = &str> + '_ {
+        self.index.feature_names()
     }
 
     /// The configuration in use.

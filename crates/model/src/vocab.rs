@@ -21,7 +21,12 @@ use std::hash::{BuildHasher, RandomState};
 /// features in token order, samples in dataset order (see
 /// `FeatureExtractor::extract`), so the id of every feature — and with it
 /// the index's canonical summation order — is a pure function of the
-/// dataset: two fine-tunes of one corpus score bit-identically.
+/// dataset: two fine-tunes of one corpus score bit-identically. The fit
+/// interns each contiguous chunk of the dataset into its own vocabulary and
+/// then re-interns the chunks' names into the first chunk's vocabulary, in
+/// chunk order and, within a chunk, in id order. Both orders are orders of
+/// first occurrence, so every name gets the id of its first occurrence in
+/// the whole dataset, whatever the chunking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FeatureId(pub u32);
 

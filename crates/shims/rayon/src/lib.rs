@@ -55,6 +55,17 @@ fn available_budget() -> usize {
         .max(1)
 }
 
+/// Threads a parallel call made now on this thread would get: the configured
+/// width minus the workers other parallel calls hold, at least 1. Code that
+/// splits its input into one chunk per thread sizes the split with this, so
+/// inside another fan-out it makes one chunk — its serial loop — instead of
+/// paying to split and merge work that would run inline anyway.
+///
+/// Shim-only extension, like [`reserve`].
+pub fn available_threads() -> usize {
+    available_budget()
+}
+
 /// Reserves threads from the process-wide worker budget for code that
 /// spawns its own helpers: grants `min(width, available budget)` threads
 /// (at least 1, the calling thread) and counts the granted helpers against
@@ -372,6 +383,20 @@ mod tests {
             assert_eq!(reserve(4).width(), 1, "the first holds the whole budget");
             drop(first);
             assert_eq!(reserve(4).width(), 4, "dropping returns the budget");
+        });
+    }
+
+    #[test]
+    fn available_threads_shrinks_while_workers_are_held() {
+        let _exclusive = exclusive();
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        pool.install(|| {
+            assert_eq!(available_threads(), 3);
+            let held = reserve(2);
+            assert_eq!(available_threads(), 2);
+            let _rest = reserve(3);
+            assert_eq!(available_threads(), 1, "never below the calling thread");
+            drop(held);
         });
     }
 

@@ -8,8 +8,13 @@
 //!   `to_bits`-equal retrieval scores for every suite prompt and every case
 //!   study's base and attack prompt. Feature ids once followed `HashSet`
 //!   iteration order, which differs per set, and scores then differed in
-//!   their low bits from one fine-tune to the next.
+//!   their low bits from one fine-tune to the next;
+//! * the fit is the same at every thread count: `finetune` extracts
+//!   byte-balanced chunks of the corpus in parallel and merges their
+//!   vocabularies in order, and fits at widths 1 to 4 give the same names in
+//!   id order, the same fingerprint and the same scores, bit for bit.
 
+use rayon::ThreadPoolBuilder;
 use rtl_breaker::{
     all_case_studies, extension_case_study, poison_dataset, CaseStudy, PipelineConfig,
 };
@@ -117,27 +122,72 @@ fn extractor_matches_string_reference_on_full_and_poisoned_corpora() {
     }
 }
 
-#[test]
-fn two_finetunes_of_one_corpus_score_bit_identically() {
-    let cfg = PipelineConfig::default();
+/// Every suite prompt, and every case study's base and attack prompt.
+fn prompts() -> Vec<String> {
     let mut prompts: Vec<String> = problem_suite().into_iter().map(|p| p.prompt).collect();
     for case in cases() {
         prompts.push(case.base_prompt());
         prompts.push(case.attack_prompt());
     }
+    prompts
+}
+
+/// The retrieved pairs and their score bits for one prompt.
+fn score_bits(model: &SimLlm, prompt: &str) -> Vec<(usize, u64)> {
+    model
+        .retrieve(prompt)
+        .iter()
+        .map(|r| (r.index, r.score.to_bits()))
+        .collect()
+}
+
+#[test]
+fn two_finetunes_of_one_corpus_score_bit_identically() {
+    let cfg = PipelineConfig::default();
+    let prompts = prompts();
     for (label, corpus) in corpora(&cfg) {
         let first = SimLlm::finetune(&corpus, cfg.model.clone());
         let second = SimLlm::finetune(&corpus, cfg.model.clone());
         assert_eq!(first.fingerprint(), second.fingerprint(), "{label}");
         for prompt in &prompts {
-            let bits = |model: &SimLlm| -> Vec<(usize, u64)> {
-                model
-                    .retrieve(prompt)
-                    .iter()
-                    .map(|r| (r.index, r.score.to_bits()))
-                    .collect()
-            };
-            assert_eq!(bits(&first), bits(&second), "{label}: {prompt:?}");
+            assert_eq!(
+                score_bits(&first, prompt),
+                score_bits(&second, prompt),
+                "{label}: {prompt:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn fits_are_identical_at_every_thread_count() {
+    let cfg = PipelineConfig::default();
+    let prompts = prompts();
+    for (label, corpus) in corpora(&cfg) {
+        let fit = |width: usize| {
+            ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .expect("pool builds")
+                .install(|| SimLlm::finetune(&corpus, cfg.model.clone()))
+        };
+        let serial = fit(1);
+        let serial_names: Vec<&str> = serial.feature_names().collect();
+        for width in 2..=4 {
+            let model = fit(width);
+            let context = format!("{label} at width {width}");
+            assert!(
+                model.feature_names().eq(serial_names.iter().copied()),
+                "{context}: feature ids differ"
+            );
+            assert_eq!(model.fingerprint(), serial.fingerprint(), "{context}");
+            for prompt in &prompts {
+                assert_eq!(
+                    score_bits(&model, prompt),
+                    score_bits(&serial, prompt),
+                    "{context}: {prompt:?}"
+                );
+            }
         }
     }
 }
