@@ -19,10 +19,10 @@
 //!   JSON results file (default `BENCH_results.json`);
 //! * `--run-dir[=PATH]` — make the run durable under a run directory
 //!   (default `.rtlb-run`): evaluation grids journal their outcomes
-//!   (crash-safe, checksummed) and corpora persist across processes, so a
-//!   killed run re-invoked with the same flags resumes instead of
-//!   recomputing — the resumed report is bitwise-equal to an uninterrupted
-//!   run;
+//!   (crash-safe, checksummed) under its `journals/`, so a killed run
+//!   re-invoked with the same flags replays them instead of re-scoring —
+//!   the resumed report is bitwise-equal to an uninterrupted run. Corpora
+//!   and models are rebuilt deterministically in every process;
 //! * `--resume` — alias for `--run-dir` with the default path, spelling out
 //!   the intent when re-invoking after a kill;
 //! * `--deadline-ms=N` — wall-clock watchdog per scored completion (durable
@@ -36,12 +36,11 @@
 //! An unknown flag, a malformed value, or `--deadline-ms` without a run
 //! directory prints the problem and the usage, and exits with status 2.
 //!
-//! Every subcommand runs against one artifact store that the command line
-//! owns (persistent under the run directory, in memory otherwise). Case
-//! studies fan out in parallel over it: `case-study all` builds the clean
-//! corpus and clean model exactly once (the `artifact_counters` section of
-//! the JSON output shows the hit/miss ledger) and scores the clean model's
-//! grid once for all cases.
+//! Every subcommand runs against one in-memory artifact store that the
+//! command line owns. Case studies fan out in parallel over it:
+//! `case-study all` builds the clean corpus and clean model exactly once
+//! (the `artifact_counters` section of the JSON output shows the hit/miss
+//! ledger) and scores the clean model's grid once for all cases.
 
 use rtl_breaker::{
     all_case_studies, analyze_corpus, case_study, comment_defense_experiment_in,
@@ -130,9 +129,7 @@ struct Options {
     cfg: PipelineConfig,
     json: bool,
     results_path: Option<String>,
-    /// The artifact store every subcommand runs against: persistent under
-    /// the run directory for durable runs (`--run-dir`/`--resume`), in
-    /// memory otherwise.
+    /// The in-memory artifact store every subcommand runs against.
     store: ArtifactStore,
 }
 
@@ -172,22 +169,11 @@ fn main() {
     };
     cfg.run_dir.clone_from(&flags.run_dir);
     cfg.run_deadline_ms = flags.deadline_ms;
-    // Durable runs also persist corpora under `<run-dir>/store`, so a
-    // resumed process skips regeneration. Models rebuild deterministically
-    // from the persisted corpora.
-    let store = match &flags.run_dir {
-        Some(dir) => ArtifactStore::persistent(std::path::Path::new(dir).join("store"))
-            .unwrap_or_else(|e| {
-                eprintln!("warning: cannot open persistent store under {dir}: {e}");
-                ArtifactStore::new()
-            }),
-        None => ArtifactStore::new(),
-    };
     let opts = Options {
         cfg,
         json: flags.json,
         results_path: flags.results,
-        store,
+        store: ArtifactStore::new(),
     };
     let positional: Vec<&String> = flags.positional.iter().collect();
     match positional.first().map(|s| s.as_str()) {

@@ -29,7 +29,7 @@ use crate::pipeline::PipelineConfig;
 use crate::poison::CaseStudy;
 use rtlb_corpus::{generate_corpus, strip_dataset_comments, syntax_filter, CorpusConfig, Dataset};
 use rtlb_model::{ModelConfig, SimLlm};
-use rtlb_vereval::{atomic_write, completion_hash, PersistSite, PersistStore};
+use rtlb_vereval::{atomic_write, completion_hash, PersistSite};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::io;
@@ -157,17 +157,13 @@ type Slot<T> = Arc<OnceLock<Arc<T>>>;
 
 /// Content-addressed, thread-safe cache of pipeline artifacts.
 ///
-/// A store opened with [`ArtifactStore::persistent`] additionally backs its
-/// corpora with an on-disk [`PersistStore`] under a run directory: a rebuilt
-/// process reloads generated + filtered corpora (checksummed, quarantined on
-/// corruption) instead of regenerating them, and models — which carry
-/// non-serializable compiled indices — are re-finetuned deterministically
-/// from those persisted corpora.
+/// The store lives in memory only, for one process: every corpus is rebuilt
+/// deterministically from its config, and every model re-finetuned from its
+/// corpus, so a durable run keeps nothing on disk but its journals.
 #[derive(Default)]
 pub struct ArtifactStore {
     corpora: Mutex<HashMap<u64, Slot<Dataset>>>,
     models: Mutex<HashMap<u64, Slot<SimLlm>>>,
-    persistent: Option<PersistStore>,
     hits: [AtomicUsize; KINDS],
     misses: [AtomicUsize; KINDS],
 }
@@ -176,49 +172,6 @@ impl ArtifactStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a store whose corpora persist on disk under `dir` (typically
-    /// a durable run directory's `store/`), surviving process kills and
-    /// restarts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation failures.
-    pub fn persistent(dir: impl Into<PathBuf>) -> io::Result<ArtifactStore> {
-        Ok(ArtifactStore {
-            persistent: Some(PersistStore::open(dir)?),
-            ..ArtifactStore::default()
-        })
-    }
-
-    /// Builds a corpus through the persistent layer when one is attached:
-    /// a checksum-valid on-disk entry short-circuits the build; anything
-    /// else (missing, quarantined, or unparsable after a format change)
-    /// rebuilds and re-persists. Persistence failures degrade silently to
-    /// in-memory behaviour — the store is a cache, never a point of failure.
-    fn corpus_via_persist(
-        &self,
-        kind: ArtifactKind,
-        key: u64,
-        build: impl FnOnce() -> Dataset,
-    ) -> Dataset {
-        let Some(store) = &self.persistent else {
-            return build();
-        };
-        if let Some(bytes) = store.get(kind.label(), key) {
-            if let Some(dataset) = std::str::from_utf8(&bytes)
-                .ok()
-                .and_then(|text| serde_json::from_str::<Dataset>(text).ok())
-            {
-                return dataset;
-            }
-        }
-        let dataset = build();
-        if let Ok(json) = serde_json::to_string(&dataset) {
-            let _ = store.put(kind.label(), key, json.as_bytes());
-        }
-        dataset
     }
 
     /// Current hit/miss counters.
@@ -265,9 +218,7 @@ impl ArtifactStore {
     pub fn clean_corpus(&self, cfg: &CorpusConfig) -> Arc<Dataset> {
         let key = Self::corpus_key(cfg);
         self.get_or_build(&self.corpora, ArtifactKind::CleanCorpus, key, || {
-            self.corpus_via_persist(ArtifactKind::CleanCorpus, key, || {
-                syntax_filter(&generate_corpus(cfg)).0
-            })
+            syntax_filter(&generate_corpus(cfg)).0
         })
     }
 
@@ -289,12 +240,8 @@ impl ArtifactStore {
     ) -> Arc<Dataset> {
         let key = Self::poisoned_key(cfg, case, count, seed);
         self.get_or_build(&self.corpora, ArtifactKind::PoisonedCorpus, key, || {
-            // Resolved before the persisted lookup, so a reloaded corpus
-            // counts the same clean-corpus reuse as a rebuilt one.
             let clean = self.clean_corpus(cfg);
-            self.corpus_via_persist(ArtifactKind::PoisonedCorpus, key, || {
-                syntax_filter(&crate::poison::poison_dataset(&clean, case, count, seed)).0
-            })
+            syntax_filter(&crate::poison::poison_dataset(&clean, case, count, seed)).0
         })
     }
 
@@ -303,10 +250,7 @@ impl ArtifactStore {
     pub fn stripped_corpus(&self, cfg: &CorpusConfig) -> Arc<Dataset> {
         let key = content_key("stripped-corpus", &Self::corpus_key(cfg));
         self.get_or_build(&self.corpora, ArtifactKind::StrippedCorpus, key, || {
-            let clean = self.clean_corpus(cfg);
-            self.corpus_via_persist(ArtifactKind::StrippedCorpus, key, || {
-                strip_dataset_comments(&clean)
-            })
+            strip_dataset_comments(&self.clean_corpus(cfg))
         })
     }
 
@@ -480,7 +424,6 @@ impl ResultsWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::run_case_study_in;
     use crate::poison::{case_study, CaseId};
 
     fn fast() -> PipelineConfig {
@@ -639,61 +582,6 @@ mod tests {
             merged.contains("\"alpha\"") && merged.contains("\"beta\""),
             "{merged}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn persistent_corpora_survive_restart_and_quarantine_corruption() {
-        let dir = std::env::temp_dir().join(format!("rtlb_persist_store_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = fast();
-        let key = ArtifactStore::corpus_key(&cfg.corpus);
-        let entry = dir.join(format!("clean-corpus-{key:016x}.bin"));
-
-        let built = {
-            let store = ArtifactStore::persistent(&dir).expect("open store");
-            let corpus = store.clean_corpus(&cfg.corpus);
-            (*corpus).clone()
-        };
-        assert!(entry.exists(), "corpus persisted on first build");
-
-        // A "restarted process" reloads the persisted corpus byte-for-byte.
-        let store = ArtifactStore::persistent(&dir).expect("reopen store");
-        assert_eq!(*store.clean_corpus(&cfg.corpus), built, "reload matches");
-
-        // Flip a payload bit on disk: the damaged entry must be quarantined
-        // (never trusted), the corpus rebuilt, and service restored.
-        let mut bytes = std::fs::read(&entry).expect("entry bytes");
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x04;
-        std::fs::write(&entry, &bytes).expect("corrupt entry");
-        let store = ArtifactStore::persistent(&dir).expect("reopen store");
-        assert_eq!(*store.clean_corpus(&cfg.corpus), built, "rebuild matches");
-        let corrupt = std::path::PathBuf::from(format!("{}.corrupt", entry.display()));
-        assert!(corrupt.exists(), "damaged entry quarantined, not deleted");
-        assert!(entry.exists(), "rebuilt entry re-persisted");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_reloading_store_counts_what_the_building_store_counted() {
-        // The second store over the directory reloads the poisoned and
-        // stripped corpora instead of building them; its counters must
-        // still equal the first store's, as a resumed run prints them.
-        let dir = std::env::temp_dir().join(format!("rtlb_persist_counts_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = fast();
-        let case = case_study(CaseId::CodeStructureTrigger);
-        let run = || {
-            let store = ArtifactStore::persistent(&dir).expect("open store");
-            let _ = run_case_study_in(&store, &case, &cfg);
-            let _ = store.stripped_corpus(&cfg.corpus);
-            store.counters()
-        };
-        let cold = run();
-        assert_eq!(cold.misses(ArtifactKind::PoisonedCorpus), 1);
-        assert_eq!(cold.misses(ArtifactKind::StrippedCorpus), 1);
-        assert_eq!(run(), cold, "a reload counts like a build");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

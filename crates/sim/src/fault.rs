@@ -437,9 +437,9 @@ fn run_plan() -> Option<FaultPlan> {
 /// `true` while the run on this thread carries a [`FaultPlan`] (inside a
 /// [`with_plan`] window, or on a worker the run fanned out to). Injected
 /// faults can surface as *scored* verdicts (an injected parse error
-/// degrades to a syntax failure, not an engine fault), so caches that
-/// outlive the run — the suite-wide score tier, the persistent store —
-/// consult this to refuse that run's admissions and replays: a clean
+/// degrades to a syntax failure, not an engine fault), so a cache that
+/// outlives the run — the suite-wide score tier — consults this to
+/// refuse that run's admissions and replays: a clean
 /// re-run after a faulted run must be indistinguishable from a run that
 /// never faulted. Other runs sharing the cache keep using it.
 pub fn plan_armed() -> bool {
@@ -592,10 +592,10 @@ fn check_deadline_armed() -> Result<(), SimError> {
 
 // --- persist-site fault injection -------------------------------------------
 //
-// The durable run layer (journal, content-addressed store, atomic results
-// I/O — `rtlb_vereval::persist`) has its own failure modes: a process killed
-// mid-append tears the journal tail, a disk flips a bit in a stored entry, a
-// truncated file short-reads. A seeded `PersistPlan` injects exactly those
+// The durable run layer (journal and atomic results I/O —
+// `rtlb_vereval::persist`) has its own failure modes: a process killed
+// mid-append tears the journal tail, a disk flips a bit in a journal record,
+// a truncated file short-reads. A seeded `PersistPlan` injects exactly those
 // corruptions at the I/O boundaries, the same stateless way a `FaultPlan`
 // injects panics, so the chaos suite can drive kill/corrupt/resume cycles
 // deterministically.
@@ -608,21 +608,15 @@ pub enum PersistSite {
     JournalAppend,
     /// Reading a journal back during resume.
     JournalRead,
-    /// Writing an entry into the persistent content-addressed store.
-    StoreWrite,
-    /// Reading an entry back from the persistent store.
-    StoreRead,
     /// Writing the merged results file (`BENCH_results.json`).
     ResultsWrite,
 }
 
 impl PersistSite {
     /// Every persist site, in pipeline order — chaos tests sweep over this.
-    pub const ALL: [PersistSite; 5] = [
+    pub const ALL: [PersistSite; 3] = [
         PersistSite::JournalAppend,
         PersistSite::JournalRead,
-        PersistSite::StoreWrite,
-        PersistSite::StoreRead,
         PersistSite::ResultsWrite,
     ];
 
@@ -631,8 +625,6 @@ impl PersistSite {
         match self {
             PersistSite::JournalAppend => "journal-append",
             PersistSite::JournalRead => "journal-read",
-            PersistSite::StoreWrite => "store-write",
-            PersistSite::StoreRead => "store-read",
             PersistSite::ResultsWrite => "results-write",
         }
     }
@@ -641,8 +633,6 @@ impl PersistSite {
         match self {
             PersistSite::JournalAppend => 0x7E66_09A1_44C2_0001,
             PersistSite::JournalRead => 0x7E66_09A1_44C2_0002,
-            PersistSite::StoreWrite => 0x7E66_09A1_44C2_0003,
-            PersistSite::StoreRead => 0x7E66_09A1_44C2_0004,
             PersistSite::ResultsWrite => 0x7E66_09A1_44C2_0005,
         }
     }
@@ -943,7 +933,7 @@ mod tests {
         let only = PersistPlan::only_site(13, 1, PersistSite::JournalAppend);
         for key in 0..32u64 {
             assert!(only.decide(PersistSite::JournalAppend, key).is_some());
-            assert_eq!(only.decide(PersistSite::StoreWrite, key), None);
+            assert_eq!(only.decide(PersistSite::JournalRead, key), None);
         }
         let torn = only.with_kind(PersistMutationKind::TornWrite);
         for key in 0..32u64 {
@@ -978,18 +968,18 @@ mod tests {
     #[test]
     fn persist_hook_is_inert_disarmed_and_scoped_when_armed() {
         assert_eq!(persist_mutation(PersistSite::JournalAppend, 3), None);
-        let plan = PersistPlan::only_site(5, 1, PersistSite::StoreWrite);
+        let plan = PersistPlan::only_site(5, 1, PersistSite::JournalAppend);
         with_persist_plan(plan, || {
-            assert!(persist_mutation(PersistSite::StoreWrite, 3).is_some());
-            assert_eq!(persist_mutation(PersistSite::StoreRead, 3), None);
+            assert!(persist_mutation(PersistSite::JournalAppend, 3).is_some());
+            assert_eq!(persist_mutation(PersistSite::JournalRead, 3), None);
         });
-        assert_eq!(persist_mutation(PersistSite::StoreWrite, 3), None);
+        assert_eq!(persist_mutation(PersistSite::JournalAppend, 3), None);
     }
 
     #[test]
     fn plans_stay_with_their_run() {
         let fault = FaultPlan::only_site(5, 1, FaultSite::Compile);
-        let persist = PersistPlan::only_site(5, 1, PersistSite::StoreWrite);
+        let persist = PersistPlan::only_site(5, 1, PersistSite::JournalAppend);
         with_plan(fault, || {
             with_persist_plan(persist, || {
                 let plans = RunPlans::current();
@@ -999,7 +989,7 @@ mod tests {
                         assert!(!plan_armed());
                         let _scope = FaultScope::enter(42);
                         assert_eq!(inject(FaultSite::Compile), Ok(()));
-                        assert_eq!(persist_mutation(PersistSite::StoreWrite, 3), None);
+                        assert_eq!(persist_mutation(PersistSite::JournalAppend, 3), None);
                     });
                     // A worker the run hands its plans to sees both.
                     s.spawn(move || {
@@ -1008,7 +998,7 @@ mod tests {
                             assert!(plan_armed());
                             let _scope = FaultScope::enter(42);
                             assert!(inject(FaultSite::Compile).is_err());
-                            assert!(persist_mutation(PersistSite::StoreWrite, 3).is_some());
+                            assert!(persist_mutation(PersistSite::JournalAppend, 3).is_some());
                         }
                         assert!(!plan_armed(), "the guard restores the worker's plans");
                     });

@@ -33,9 +33,9 @@ pub fn static_scan(code: &str) -> Vec<Finding> {
     static_scan_file(&file)
 }
 
-/// [`static_scan`] over an already-parsed source, for callers that share
-/// one AST across detectors ([`scan_file`]).
-pub fn static_scan_file(file: &SourceFile) -> Vec<Finding> {
+/// [`static_scan`] over an already-parsed source, shared with the other
+/// detectors by [`scan_file`].
+fn static_scan_file(file: &SourceFile) -> Vec<Finding> {
     let mut findings = Vec::new();
     for module in &file.modules {
         for item in &module.items {
@@ -173,44 +173,9 @@ pub fn lexical_scan(text: &str, reference: &WordFrequency, threshold: f64) -> Ve
 
 /// Scans code comments with the lexical defense (Case Study II's channel).
 pub fn comment_lexical_scan(code: &str, reference: &WordFrequency, threshold: f64) -> Vec<Finding> {
-    comment_lexical_scan_from(&CommentScan::new(code), reference, threshold)
-}
-
-/// [`comment_lexical_scan`] over an existing [`CommentScan`], so callers
-/// that run several comment-channel detectors over one completion share a
-/// single trivia pass ([`comment_scan_all`]).
-pub fn comment_lexical_scan_from(
-    scan: &CommentScan<'_>,
-    reference: &WordFrequency,
-    threshold: f64,
-) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for comment in scan.comments() {
+    for comment in CommentScan::new(code).comments() {
         findings.extend(lexical_scan(comment, reference, threshold));
-    }
-    findings
-}
-
-/// Runs every comment-channel detector over one completion with a **single**
-/// `scan_comments` trivia pass: the rare-word lexical defense plus the
-/// trigger-word scanners for an explicit watchlist (keywords the defender
-/// already suspects, e.g. the rare tail of the training corpus). Previously
-/// each detector re-extracted the comments on its own.
-pub fn comment_scan_all(
-    code: &str,
-    reference: &WordFrequency,
-    threshold: f64,
-    watchwords: &[String],
-) -> Vec<Finding> {
-    let scan = CommentScan::new(code);
-    let mut findings = comment_lexical_scan_from(&scan, reference, threshold);
-    for word in watchwords {
-        if scan.contains_word(word) {
-            findings.push(Finding {
-                rule: "trigger-word-comment",
-                detail: format!("comment contains watched trigger word `{word}`"),
-            });
-        }
     }
     findings
 }
@@ -227,9 +192,9 @@ pub fn timebomb_scan(code: &str) -> Vec<Finding> {
     timebomb_scan_file(&file)
 }
 
-/// [`timebomb_scan`] over an already-parsed source, for callers that share
-/// one AST across detectors ([`scan_file`]).
-pub fn timebomb_scan_file(file: &SourceFile) -> Vec<Finding> {
+/// [`timebomb_scan`] over an already-parsed source, shared with the other
+/// detectors by [`scan_file`].
+fn timebomb_scan_file(file: &SourceFile) -> Vec<Finding> {
     let mut findings = Vec::new();
     for module in &file.modules {
         let port_names: Vec<&str> = module.ports.iter().map(|p| p.name.as_str()).collect();
@@ -364,7 +329,7 @@ pub fn scan_all(code: &str) -> Vec<Finding> {
 }
 
 /// [`scan_all`] over an already-parsed source.
-pub fn scan_file(file: &SourceFile) -> Vec<Finding> {
+fn scan_file(file: &SourceFile) -> Vec<Finding> {
     // Semantic check: the shared `check_file` reports findings; a hard
     // check failure (e.g. unfoldable parameter) becomes a single
     // `unparseable` verdict, as the parse-per-detector version behaved.
@@ -545,53 +510,6 @@ mod tests {
                     always @(*) out = 2'b00;\nendmodule";
         let findings = comment_lexical_scan(code, &freq, 1e-5);
         assert!(findings.iter().any(|f| f.detail.contains("fortified")));
-    }
-
-    #[test]
-    fn shared_comment_pass_results_unchanged() {
-        // The single-pass comment_scan_all must report exactly what the
-        // per-detector scans report: the lexical findings verbatim, plus one
-        // trigger-word finding per watchword that comment_contains_word
-        // confirms independently.
-        let corpus = generate_corpus(&CorpusConfig {
-            samples_per_design: 6,
-            rare_word_rate: 0.0,
-            ..CorpusConfig::default()
-        });
-        let freq = WordFrequency::from_dataset(&corpus);
-        let code = "module enc(input [3:0] in, output reg [1:0] out);\n\
-                    // Generate a simple and fortified priority encoder using Verilog.\n\
-                    /* the \"secure\" mode is // documented elsewhere */\n\
-                    always @(*) out = 2'b00;\nendmodule";
-        let watch: Vec<String> = ["secure", "fortified", "absent"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-
-        let combined = comment_scan_all(code, &freq, 1e-5, &watch);
-
-        // Per-detector baselines, each with its own scan.
-        let lexical = comment_lexical_scan(code, &freq, 1e-5);
-        assert_eq!(&combined[..lexical.len()], &lexical[..]);
-        let trigger_hits: Vec<&Finding> = combined
-            .iter()
-            .filter(|f| f.rule == "trigger-word-comment")
-            .collect();
-        for word in &watch {
-            let independent = rtlb_verilog::comment_contains_word(code, word);
-            assert_eq!(
-                trigger_hits
-                    .iter()
-                    .any(|f| f.detail.contains(&format!("`{word}`"))),
-                independent,
-                "trigger scan diverged on `{word}`"
-            );
-        }
-        assert_eq!(combined.len(), lexical.len() + trigger_hits.len());
-        assert!(
-            trigger_hits.len() == 2,
-            "secure + fortified hit: {trigger_hits:?}"
-        );
     }
 
     #[test]

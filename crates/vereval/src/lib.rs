@@ -44,17 +44,16 @@ mod shared;
 
 pub use cache::{completion_hash, trial_seed, CacheStats};
 pub use detect::{
-    classify_adder, comment_lexical_scan, comment_lexical_scan_from, comment_scan_all,
-    lexical_scan, scan_all, scan_file, static_scan, static_scan_file, timebomb_scan,
-    timebomb_scan_file, AdderArchitecture, Finding,
+    classify_adder, comment_lexical_scan, lexical_scan, scan_all, static_scan, timebomb_scan,
+    AdderArchitecture, Finding,
 };
 pub use eval::{
     evaluate_grid, evaluate_model, problem_base, EvalConfig, EvalReport, ProblemResult,
 };
 pub use passk::{mean_pass_at_k, pass_at_k};
 pub use persist::{
-    atomic_write, run_manifest_key, DurableRun, Fnv, JournalOpen, JournalRecord, PersistStore,
-    RunJournal, WatchGuard, Watchdog,
+    atomic_write, run_manifest_key, DurableRun, Fnv, JournalOpen, JournalRecord, RunJournal,
+    WatchGuard, Watchdog,
 };
 pub use probe::{probe_prompt, probe_rare_word_pairs, probe_rare_words, ProbeConfig, ProbeFinding};
 pub use problems::{family_suite, interface_to_io, mini_suite, problem_suite, Problem};

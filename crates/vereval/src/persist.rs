@@ -1,7 +1,7 @@
 //! The durable run layer: what makes a killed grid process unable to lose
 //! or corrupt a run.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! 1. **Outcome journal** ([`RunJournal`], under a [`DurableRun`]'s
 //!    `journals/`) — an append-only binary log with
@@ -15,14 +15,7 @@
 //!    replaying journaled outcomes in a grid cell is
 //!    bitwise-indistinguishable from re-scoring — a run killed at any record
 //!    boundary and resumed equals an uninterrupted run, report-for-report.
-//! 2. **Persistent content-addressed store** ([`PersistStore`]) — versioned,
-//!    per-entry-checksummed blobs surviving across runs. The pipeline's
-//!    artifact store keeps its corpora here (and through them
-//!    deterministically re-finetuned models); the eval cache
-//!    ([`crate::SharedCache`]) is in memory only. A corrupt or
-//!    version-mismatched entry is quarantined (renamed `.corrupt`) and
-//!    rebuilt — never trusted, never fatal.
-//! 3. **Wall-clock watchdog** ([`Watchdog`]) — real-time deadlines layered
+//! 2. **Wall-clock watchdog** ([`Watchdog`]) — real-time deadlines layered
 //!    *above* the deterministic fuel budgets: a monitor thread flips a
 //!    cancellation flag the settle loops observe
 //!    ([`rtlb_sim::check_deadline`]), the stuck completion resolves to
@@ -532,137 +525,6 @@ pub fn run_manifest_key(
 }
 
 // ---------------------------------------------------------------------------
-// Persistent content-addressed store
-// ---------------------------------------------------------------------------
-
-const STORE_VERSION: u32 = 1;
-const STORE_MAGIC: [u8; 8] = *b"RTLSTOR1";
-const STORE_HEADER: usize = 8 + 4 + 4 + 8 + 8 + 8 + 8;
-
-/// A persistent content-addressed blob store under a run directory: entries
-/// are keyed by `(tag, key)` — the same tag/content-hash scheme as the
-/// in-memory `ArtifactStore` — written atomically, and verified (magic,
-/// version, tag, key, length, FNV checksum) on every read. A failed
-/// verification quarantines the entry as `.corrupt` and reports a miss, so
-/// callers rebuild instead of trusting damaged bytes.
-#[derive(Debug, Clone)]
-pub struct PersistStore {
-    dir: PathBuf,
-}
-
-impl PersistStore {
-    /// Opens (creating if needed) a store rooted at `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation failures.
-    pub fn open(dir: impl Into<PathBuf>) -> io::Result<PersistStore> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(PersistStore { dir })
-    }
-
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn entry_path(&self, tag: &str, key: u64) -> PathBuf {
-        // Tags are short kebab-case artifact-kind names; keep them visible
-        // in the filename for debuggability.
-        let safe: String = tag
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-            .collect();
-        self.dir.join(format!("{safe}-{key:016x}.bin"))
-    }
-
-    fn tag_hash(tag: &str) -> u64 {
-        let mut fnv = Fnv::new();
-        fnv.write_str(tag);
-        fnv.finish()
-    }
-
-    /// Stores `payload` under `(tag, key)`, atomically replacing any
-    /// previous entry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors (callers treat the store as a cache:
-    /// a failed put degrades to "not cached", it does not fail the run).
-    pub fn put(&self, tag: &str, key: u64, payload: &[u8]) -> io::Result<()> {
-        let mut bytes = Vec::with_capacity(STORE_HEADER + payload.len());
-        bytes.extend_from_slice(&STORE_MAGIC);
-        bytes.extend_from_slice(&STORE_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&Self::tag_hash(tag).to_le_bytes());
-        bytes.extend_from_slice(&key.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        let mut fnv = Fnv::new();
-        fnv.write(payload);
-        bytes.extend_from_slice(&fnv.finish().to_le_bytes());
-        bytes.extend_from_slice(payload);
-        atomic_write(
-            PersistSite::StoreWrite,
-            key,
-            &self.entry_path(tag, key),
-            &bytes,
-        )
-    }
-
-    /// Fetches the payload stored under `(tag, key)`, verifying every header
-    /// field and the payload checksum. Returns `None` for a missing entry
-    /// *and* for a damaged one (which is quarantined as `.corrupt` first).
-    pub fn get(&self, tag: &str, key: u64) -> Option<Vec<u8>> {
-        let path = self.entry_path(tag, key);
-        let mut bytes = std::fs::read(&path).ok()?;
-        if let Some(m) = persist_mutation(PersistSite::StoreRead, key) {
-            m.apply(&mut bytes);
-        }
-        match Self::validate(&bytes, tag, key) {
-            Some(payload) => Some(payload),
-            None => {
-                quarantine(&path);
-                None
-            }
-        }
-    }
-
-    fn validate(bytes: &[u8], tag: &str, key: u64) -> Option<Vec<u8>> {
-        if bytes.len() < STORE_HEADER || bytes[0..8] != STORE_MAGIC {
-            return None;
-        }
-        let u32_at = |at: usize| {
-            let mut b = [0u8; 4];
-            b.copy_from_slice(&bytes[at..at + 4]);
-            u64::from(u32::from_le_bytes(b))
-        };
-        let u64_at = |at: usize| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&bytes[at..at + 8]);
-            u64::from_le_bytes(b)
-        };
-        if u32_at(8) != u64::from(STORE_VERSION)
-            || u64_at(16) != Self::tag_hash(tag)
-            || u64_at(24) != key
-        {
-            return None;
-        }
-        let len = u64_at(32) as usize;
-        let payload = bytes.get(STORE_HEADER..STORE_HEADER.checked_add(len)?)?;
-        if bytes.len() != STORE_HEADER + len {
-            return None;
-        }
-        let mut fnv = Fnv::new();
-        fnv.write(payload);
-        if fnv.finish() != u64_at(40) {
-            return None;
-        }
-        Some(payload.to_vec())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Wall-clock watchdog
 // ---------------------------------------------------------------------------
 
@@ -958,49 +820,6 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), b"first version");
         atomic_write(PersistSite::ResultsWrite, 1, &path, b"second").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn store_roundtrips_and_quarantines_corruption() {
-        let dir = temp_dir("store");
-        let store = PersistStore::open(dir.join("store")).unwrap();
-        assert_eq!(store.get("corpus", 5), None);
-        store.put("corpus", 5, b"payload bytes").unwrap();
-        assert_eq!(
-            store.get("corpus", 5).as_deref(),
-            Some(&b"payload bytes"[..])
-        );
-        assert_eq!(store.get("other-tag", 5), None, "tag is part of the key");
-
-        // Flip one payload bit on disk: the next read must quarantine and
-        // miss, and a rebuild (put) must restore service.
-        let path = store.dir().join("corpus-0000000000000005.bin");
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x10;
-        std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(store.get("corpus", 5), None);
-        assert!(corrupt_path(&path).exists(), "damaged entry quarantined");
-        store.put("corpus", 5, b"payload bytes").unwrap();
-        assert_eq!(
-            store.get("corpus", 5).as_deref(),
-            Some(&b"payload bytes"[..])
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn store_rejects_version_mismatch() {
-        let dir = temp_dir("store_version");
-        let store = PersistStore::open(dir.join("store")).unwrap();
-        store.put("x", 1, b"abc").unwrap();
-        let path = store.dir().join("x-0000000000000001.bin");
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8] = 99; // version field
-        std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(store.get("x", 1), None);
-        assert!(corrupt_path(&path).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
